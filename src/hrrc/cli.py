@@ -3,7 +3,9 @@
 Subcommands: classify, solve, check, brute, reduce, decode.  Exit codes are
 the machine contract: 0 for a positive verdict, 1 for a negative one (no
 matching exists / not strongly stable / unsatisfiable), 2 for usage or input
-errors and for instances the solver cannot decide.
+errors, for instances the solver cannot decide, and for internal failures
+(an exception the program did not expect is reported on one ``error:`` line
+and never read as a negative verdict).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import exhaustive, poly_solvers, reductions, stability
+from .index import InstanceIndex
 from .model import (
     Assignment,
     Instance,
@@ -51,6 +54,19 @@ def _read(path: str) -> str:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc}") from exc
+
+
+def _load(path: str) -> tuple[Instance, InstanceIndex]:
+    """The instance in ``path`` and its index; ``load_instance`` validated it."""
+    instance = load_instance(_read(path))
+    return instance, InstanceIndex(instance)
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -75,15 +91,21 @@ _ALGORITHMS = {
 }
 
 
-def _solve_outcome(instance: Instance, args: argparse.Namespace) -> SolveOutcome:
+def _solve_outcome(
+    instance: Instance, index: InstanceIndex, args: argparse.Namespace
+) -> SolveOutcome:
     name = args.algorithm
     if name == "auto":
-        return poly_solvers.dispatch(instance, brute_limit=args.brute_limit)
+        return poly_solvers.dispatch(instance, brute_limit=args.brute_limit, index=index)
     if name == "alg5":
-        return poly_solvers.solve_222_disjoint(instance)
+        return poly_solvers.solve_222_disjoint(instance, index=index)
     if name == "brute":
-        return exhaustive.exists_strongly_stable(instance)
-    return SolveOutcome.found(_ALGORITHMS[name](instance))
+        return exhaustive.exists_strongly_stable(instance, index=index)
+    solver = _ALGORITHMS[name]
+    matching = solver(instance, index=index)
+    return SolveOutcome.found(
+        poly_solvers.certified(instance, matching, solver.__name__, index=index)
+    )
 
 
 def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
@@ -95,15 +117,14 @@ def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
             payload["reason"] = outcome.reason
         _emit_json(payload)
     else:
+        text = save_matching(outcome.matching) if outcome.matching is not None else None
+        out = getattr(args, "out", None)
+        # Write the document first: a failed write must not follow a verdict.
+        if text is not None and out:
+            _write(out, text)
         print(outcome.status)
-        if outcome.is_found:
-            assert outcome.matching is not None
-            text = save_matching(outcome.matching)
-            out = getattr(args, "out", None)
-            if out:
-                Path(out).write_text(text, encoding="utf-8")
-            else:
-                print(text, end="")
+        if text is not None and not out:
+            print(text, end="")
         elif outcome.reason:
             print(outcome.reason, file=sys.stderr)
     if outcome.is_found:
@@ -112,21 +133,18 @@ def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance = load_instance(_read(args.instance))
-    outcome = _solve_outcome(instance, args)
-    return _report_outcome(outcome, args)
+    instance, index = _load(args.instance)
+    return _report_outcome(_solve_outcome(instance, index, args), args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance = load_instance(_read(args.instance))
+    instance, index = _load(args.instance)
     matching = load_matching(_read(args.matching))
-    violations = stability.matching_violations(instance, matching)
-    if violations:
-        raise InstanceError("assignment is not a matching: " + "; ".join(violations))
-    feasible = stability.is_feasible(instance, matching)
-    bps = stability.blocking_pairs(instance, matching)
-    sbps = stability.strong_blocking_pairs(instance, matching) if feasible else []
-    stable = feasible and not sbps
+    checked = stability.report(instance, matching, index=index)
+    if checked.violations:
+        raise InstanceError("assignment is not a matching: " + "; ".join(checked.violations))
+    feasible, stable = checked.feasible, checked.strongly_stable
+    bps, sbps = checked.blocking_pairs, checked.strong_blocking_pairs
     if args.json:
         _emit_json(
             {
@@ -157,7 +175,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    instance = load_instance(_read(args.instance))
+    instance, index = _load(args.instance)
     size = len(instance.residents) + len(instance.hospitals)
     if size > args.limit and not args.force:
         print(
@@ -168,7 +186,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     if args.all:
         matchings = sorted(
-            exhaustive.strongly_stable_set(instance), key=lambda m: m.sorted_pairs()
+            exhaustive.strongly_stable_set(instance, index=index), key=lambda m: m.sorted_pairs()
         )
         if args.json:
             _emit_json(
@@ -183,7 +201,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
             for m in matchings:
                 print(json.dumps(matching_to_doc(m)))
         return EXIT_OK if matchings else EXIT_NEGATIVE
-    return _report_outcome(exhaustive.exists_strongly_stable(instance), args)
+    return _report_outcome(exhaustive.exists_strongly_stable(instance, index=index), args)
 
 
 def _target_variant(name: str) -> reductions.ReductionVariant:
@@ -218,15 +236,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         return EXIT_OK
     text = save_instance(instance)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         print(text, end="")
     if args.occurrences:
         if table is None:
             raise InstanceError("the one-in-three target has no occurrence table")
-        Path(args.occurrences).write_text(
-            json.dumps(table.to_doc(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write(args.occurrences, json.dumps(table.to_doc(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -317,11 +333,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, reductions.DimacsError) as exc:
+    except ValueError as exc:  # input errors, InstanceError and DimacsError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError as exc:
+        print(f"error: search too deep ({exc}): the exhaustive search recurses once per "
+              "resident", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # exit 1 is a verdict; a crash must not read as one
+        import traceback
+
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -18,49 +18,52 @@ from __future__ import annotations
 import warnings
 from typing import Iterator
 
-from .model import Assignment, Instance, SolveOutcome, require_valid
+from .index import InstanceIndex, index_for
+from .model import Assignment, Instance, SolveOutcome
 from .stability import is_strongly_stable
 
 DEFAULT_WARN_LIMIT = 1_000_000
 
 
 class _SearchState:
-    """Shared incremental bookkeeping for the enumeration walks."""
+    """Shared incremental bookkeeping for the enumeration walks.
 
-    def __init__(self, instance: Instance):
-        require_valid(instance)
+    ``assignees[h]`` lists the residents placed at ``h``, latest last: the
+    walks are depth-first, so the resident unplaced from ``h`` is always the
+    one placed there last.
+    """
+
+    def __init__(self, instance: Instance, index: InstanceIndex | None):
+        self.index = index = index_for(instance, index)
         self.instance = instance
         self.residents = instance.residents
-        self.capacities = instance.capacities
-        hospital_index = instance.hospital_index()
+        self.capacities = index.capacities
+        hospital_index = index.hospital_pos
         # Per resident: acceptable hospitals in declaration order.
         self.choices = {
             r: sorted(instance.resident_prefs[r], key=hospital_index.__getitem__)
             for r in self.residents
         }
-        self.region_caps = [reg.cap for reg in instance.regions]
-        self.regions_of = {h: [] for h in instance.hospitals}
-        for k, reg in enumerate(instance.regions):
-            for h in reg.hospitals:
-                self.regions_of[h].append(k)
-        self.hospital_load = {h: 0 for h in instance.hospitals}
+        self.region_caps = index.region_caps
+        self.regions_of = index.regions_of
+        self.assignees: dict[str, list[str]] = {h: [] for h in instance.hospitals}
         self.region_load = [0] * len(instance.regions)
         self.assigned: list[str | None] = [None] * len(self.residents)
 
     def fits(self, h: str) -> bool:
-        if self.hospital_load[h] >= self.capacities[h]:
+        if len(self.assignees[h]) >= self.capacities[h]:
             return False
         return all(self.region_load[k] < self.region_caps[k] for k in self.regions_of[h])
 
     def place(self, i: int, h: str) -> None:
         self.assigned[i] = h
-        self.hospital_load[h] += 1
+        self.assignees[h].append(self.residents[i])
         for k in self.regions_of[h]:
             self.region_load[k] += 1
 
     def unplace(self, i: int, h: str) -> None:
         self.assigned[i] = None
-        self.hospital_load[h] -= 1
+        self.assignees[h].pop()
         for k in self.regions_of[h]:
             self.region_load[k] -= 1
 
@@ -71,10 +74,13 @@ class _SearchState:
 
 
 def enumerate_feasible(
-    instance: Instance, *, warn_limit: int = DEFAULT_WARN_LIMIT
+    instance: Instance,
+    *,
+    warn_limit: int = DEFAULT_WARN_LIMIT,
+    index: InstanceIndex | None = None,
 ) -> Iterator[Assignment]:
     """Yield every feasible matching exactly once, in canonical order."""
-    state = _SearchState(instance)
+    state = _SearchState(instance, index)
     n = len(state.residents)
     emitted = 0
 
@@ -101,9 +107,16 @@ def enumerate_feasible(
     yield from walk(0)
 
 
-def strongly_stable_set(instance: Instance) -> set[Assignment]:
+def strongly_stable_set(
+    instance: Instance, *, index: InstanceIndex | None = None
+) -> set[Assignment]:
     """All strongly stable matchings: the feasible ones the checker accepts."""
-    return {m for m in enumerate_feasible(instance) if is_strongly_stable(instance, m)}
+    index = index_for(instance, index)
+    return {
+        m
+        for m in enumerate_feasible(instance, index=index)
+        if is_strongly_stable(instance, m, index=index)
+    }
 
 
 class _ExistenceSearch(_SearchState):
@@ -115,18 +128,11 @@ class _ExistenceSearch(_SearchState):
     so a prefix exhibiting such a pair can be abandoned.
     """
 
-    def __init__(self, instance: Instance):
-        super().__init__(instance)
-        resident_pos = {r: i for i, r in enumerate(self.residents)}
-        self.rrank = {
-            r: {h: i for i, h in enumerate(prefs)}
-            for r, prefs in instance.resident_prefs.items()
-        }
-        self.hrank = {
-            h: {r: i for i, r in enumerate(prefs)}
-            for h, prefs in instance.hospital_prefs.items()
-        }
-        self.resident_pos = resident_pos
+    def __init__(self, instance: Instance, index: InstanceIndex | None):
+        super().__init__(instance, index)
+        self.rrank = self.index.rrank
+        self.hrank = self.index.hrank
+        self.resident_pos = resident_pos = self.index.resident_pos
         n = len(self.residents)
         self.determined_at: list[list[str]] = [[] for _ in range(n)]
         for h in instance.hospitals:
@@ -140,34 +146,24 @@ class _ExistenceSearch(_SearchState):
             self.determined_at[depth].append(h)
 
     def _is_settled_sbp(self, r: str, h: str) -> bool:
-        i = self.resident_pos[r]
-        current = self.assigned[i]
+        current = self.assigned[self.resident_pos[r]]
         if current == h:
             return False
         if current is not None and self.rrank[r][current] < self.rrank[r][h]:
             return False
         # r wants h; does h want r back?
-        rank = self.hrank[h][r]
-        assigned_here = [
-            r2
-            for r2, h2 in zip(self.residents, self.assigned)
-            if h2 == h
-        ]
-        undersubscribed = len(assigned_here) < self.capacities[h]
-        beats_someone = any(rank < self.hrank[h][r2] for r2 in assigned_here)
-        if not (undersubscribed or beats_someone):
+        hrank = self.hrank[h]
+        rank = hrank[r]
+        assigned_here = self.assignees[h]
+        if any(rank < hrank[r2] for r2 in assigned_here):
+            return True
+        if len(assigned_here) >= self.capacities[h]:
             return False
-        if beats_someone:
-            return True
         # Move feasibility: only regions containing h but not r's hospital gain load.
-        for k in self.regions_of[h]:
-            if current is not None and current in self.instance.regions[k].hospitals:
-                continue
-            if self.region_load[k] >= self.region_caps[k]:
-                break
-        else:
-            return True
-        return False
+        left = self.regions_of[current] if current is not None else ()
+        return all(
+            self.region_load[k] < self.region_caps[k] for k in self.regions_of[h] if k not in left
+        )
 
     def doomed(self, depth: int) -> bool:
         for h in self.determined_at[depth]:
@@ -177,9 +173,11 @@ class _ExistenceSearch(_SearchState):
         return False
 
 
-def exists_strongly_stable(instance: Instance) -> SolveOutcome:
+def exists_strongly_stable(
+    instance: Instance, *, index: InstanceIndex | None = None
+) -> SolveOutcome:
     """Decide existence; a found matching is the canonically first one."""
-    search = _ExistenceSearch(instance)
+    search = _ExistenceSearch(instance, index)
     n = len(search.residents)
 
     def walk(i: int) -> Assignment | None:
@@ -201,5 +199,6 @@ def exists_strongly_stable(instance: Instance) -> SolveOutcome:
     found = walk(0)
     if found is None:
         return SolveOutcome.none_exists()
-    assert is_strongly_stable(instance, found)
+    if not is_strongly_stable(instance, found, index=search.index):
+        raise RuntimeError("exhaustive search returned a matching that is not strongly stable")
     return SolveOutcome.found(found)

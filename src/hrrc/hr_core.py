@@ -5,26 +5,27 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 
-from .model import Assignment, Instance, require_valid
+from .index import InstanceIndex, index_for
+from .model import Assignment, Instance
 
 
-def rgs(instance: Instance, *, ignore_regions: bool = False) -> Assignment:
+def rgs(
+    instance: Instance, *, ignore_regions: bool = False, index: InstanceIndex | None = None
+) -> Assignment:
     """Resident-optimal stable matching of the underlying capacitated market.
 
     Regions play no role here; passing a region-bearing instance requires the
     explicit ``ignore_regions`` flag so call sites acknowledge that the caps
-    are being set aside.
+    are being set aside.  The instance is validated unless its ``index`` is
+    passed.
     """
-    require_valid(instance)
+    index = index_for(instance, index)
     if instance.regions and not ignore_regions:
         raise ValueError(
             "instance declares regions; pass ignore_regions=True to run plain "
             "deferred acceptance on it"
         )
-    hrank = {
-        h: {r: i for i, r in enumerate(prefs)}
-        for h, prefs in instance.hospital_prefs.items()
-    }
+    hrank = index.hrank
     next_choice = {r: 0 for r in instance.residents}
     held: dict[str, list[str]] = {h: [] for h in instance.hospitals}
     free = deque(instance.residents)
@@ -34,7 +35,7 @@ def rgs(instance: Instance, *, ignore_regions: bool = False) -> Assignment:
         while next_choice[r] < len(prefs):
             h = prefs[next_choice[r]]
             next_choice[r] += 1
-            q = instance.capacities[h]
+            q = index.capacities[h]
             if q == 0:
                 continue
             if len(held[h]) < q:

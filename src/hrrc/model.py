@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .index import InstanceIndex
 
 
 class InstanceError(ValueError):
@@ -61,12 +64,6 @@ class Instance:
     def capacity(self, hospital: str) -> int:
         return self.capacities[hospital]
 
-    def resident_index(self) -> dict[str, int]:
-        return {r: i for i, r in enumerate(self.residents)}
-
-    def hospital_index(self) -> dict[str, int]:
-        return {h: i for i, h in enumerate(self.hospitals)}
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -83,6 +80,8 @@ class Assignment:
     def of(pairs: Iterable[tuple[str, str]]) -> "Assignment":
         return Assignment(frozenset((r, h) for r, h in pairs))
 
+    # The two lookups below scan every pair; code that looks up many agents
+    # reads the matching once instead (see ``hrrc.stability``).
     def hospital_of(self, resident: str) -> str | None:
         for r, h in self.pairs:
             if r == resident:
@@ -197,16 +196,21 @@ def validate(instance: Instance) -> list[str]:
         if not isinstance(q, int) or isinstance(q, bool) or q < 0:
             out.append(f"hospital {h!r} has invalid capacity {q!r}")
 
+    # Each agent's list as a set, for the duplicate and mutuality checks.
+    racc: dict[str, set[str]] = {}
+    hacc: dict[str, set[str]] = {}
     for r in residents:
         prefs = instance.resident_prefs.get(r, ())
-        if len(set(prefs)) != len(prefs):
+        racc[r] = set(prefs)
+        if len(racc[r]) != len(prefs):
             out.append(f"resident {r!r} has duplicate entries in preference list")
         for h in prefs:
             if h not in hset:
                 out.append(f"resident {r!r} lists unknown hospital {h!r}")
     for h in hospitals:
         prefs = instance.hospital_prefs.get(h, ())
-        if len(set(prefs)) != len(prefs):
+        hacc[h] = set(prefs)
+        if len(hacc[h]) != len(prefs):
             out.append(f"hospital {h!r} has duplicate entries in preference list")
         for r in prefs:
             if r not in rset:
@@ -215,11 +219,11 @@ def validate(instance: Instance) -> list[str]:
     # Mutual acceptability, both directions.
     for r in residents:
         for h in instance.resident_prefs.get(r, ()):
-            if h in hset and r not in instance.hospital_prefs.get(h, ()):
+            if h in hset and r not in hacc[h]:
                 out.append(f"resident {r!r} lists {h!r} but {h!r} does not list {r!r}")
     for h in hospitals:
         for r in instance.hospital_prefs.get(h, ()):
-            if r in rset and h not in instance.resident_prefs.get(r, ()):
+            if r in rset and h not in racc[r]:
                 out.append(f"hospital {h!r} lists {r!r} but {r!r} does not list {h!r}")
 
     seen_sets: dict[frozenset[str], int] = {}
@@ -250,9 +254,15 @@ def require_valid(instance: Instance) -> None:
         raise InstanceError("invalid instance: " + "; ".join(violations))
 
 
-def classify(instance: Instance) -> InstanceClass:
-    """Compute the exact (alpha, beta, gamma, disjoint) parameters."""
-    require_valid(instance)
+def classify(instance: Instance, *, index: "InstanceIndex | None" = None) -> InstanceClass:
+    """Compute the exact (alpha, beta, gamma, disjoint) parameters.
+
+    The instance is validated unless its index is passed.
+    """
+    if index is None:
+        require_valid(instance)
+    elif index.instance is not instance:
+        raise ValueError("the index was built from a different instance")
     alpha = max((len(p) for p in instance.resident_prefs.values()), default=0)
     beta = max((len(p) for p in instance.hospital_prefs.values()), default=0)
     gamma = max((len(reg.hospitals) for reg in instance.regions), default=0)

@@ -17,10 +17,11 @@ falls back to exhaustive search on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .exhaustive import exists_strongly_stable
 from .hr_core import rgs, shrink
+from .index import InstanceIndex, index_for
 from .model import (
     Assignment,
     Instance,
@@ -29,9 +30,8 @@ from .model import (
     SolveOutcome,
     classify,
     common_residents,
-    require_valid,
 )
-from .stability import is_feasible, is_matching, is_strongly_stable
+from .stability import is_strongly_stable
 
 DEFAULT_BRUTE_LIMIT = 12
 
@@ -49,100 +49,113 @@ class SubInstance2x2:
     region: Region
 
 
-def _certified(instance: Instance, matching: Assignment, solver: str) -> Assignment:
-    if not is_strongly_stable(instance, matching):
+def certified(
+    instance: Instance, matching: Assignment, solver: str, *, index: InstanceIndex | None = None
+) -> Assignment:
+    """``matching``, once the checker confirms it is strongly stable.
+
+    Raises :class:`RuntimeError` naming ``solver`` otherwise: a solver
+    returned a wrong answer.
+    """
+    if not is_strongly_stable(instance, matching, index=index):
         raise RuntimeError(f"{solver} produced a matching that is not strongly stable")
     return matching
 
 
-def solve_regions_size1(instance: Instance) -> Assignment:
+def solve_regions_size1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
     """Solve instances whose regions are all singletons.
 
     Folding each singleton cap into its hospital's capacity reduces the
     problem to plain deferred acceptance.
     """
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if cls.gamma > 1:
         raise ValueError(f"solver requires regions of size at most 1, got gamma={cls.gamma}")
     capacities = dict(instance.capacities)
     for reg in instance.regions:
         (h,) = reg.hospitals
         capacities[h] = min(capacities[h], reg.cap)
-    trimmed = replace(instance, capacities=capacities)
-    return rgs(trimmed, ignore_regions=True)
+    trimmed = index.with_capacities(capacities)
+    return rgs(trimmed.instance, ignore_regions=True, index=trimmed)
 
 
-def solve_res_len1(instance: Instance) -> Assignment:
+class _Loads:
+    """Hospital and region loads of a matching under construction."""
+
+    def __init__(self, index: InstanceIndex):
+        self.index = index
+        self.hospital = dict.fromkeys(index.instance.hospitals, 0)
+        self.region = [0] * len(index.region_caps)
+
+    def fits(self, h: str) -> bool:
+        caps, region = self.index.region_caps, self.region
+        return self.hospital[h] < self.index.capacities[h] and all(
+            region[k] < caps[k] for k in self.index.regions_of[h]
+        )
+
+    def add(self, h: str) -> None:
+        self.hospital[h] += 1
+        for k in self.index.regions_of[h]:
+            self.region[k] += 1
+
+
+def solve_res_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
     """Solve instances where every resident lists at most one hospital.
 
     Each hospital greedily takes the best residents on its list while its own
     capacity and every region containing it stay strictly under their caps.
     """
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if cls.alpha > 1:
         raise ValueError(f"solver requires resident lists of length at most 1, got alpha={cls.alpha}")
-    regions_of = {h: [] for h in instance.hospitals}
-    for k, reg in enumerate(instance.regions):
-        for h in reg.hospitals:
-            regions_of[h].append(k)
-    region_load = [0] * len(instance.regions)
-    hospital_load = {h: 0 for h in instance.hospitals}
+    loads = _Loads(index)
     pairs = []
     for h in instance.hospitals:
         for r in instance.hospital_prefs[h]:
-            if hospital_load[h] >= instance.capacities[h]:
-                continue
-            if any(region_load[k] >= instance.regions[k].cap for k in regions_of[h]):
+            if not loads.fits(h):
                 continue
             pairs.append((r, h))
-            hospital_load[h] += 1
-            for k in regions_of[h]:
-                region_load[k] += 1
+            loads.add(h)
     return Assignment.of(pairs)
 
 
-def solve_hosp_len1(instance: Instance) -> Assignment:
+def solve_hosp_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
     """Solve instances where every hospital lists at most one resident.
 
     Each resident takes the best hospital on its list whose capacity and
     containing regions all have room.
     """
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if cls.beta > 1:
         raise ValueError(f"solver requires hospital lists of length at most 1, got beta={cls.beta}")
-    regions_of = {h: [] for h in instance.hospitals}
-    for k, reg in enumerate(instance.regions):
-        for h in reg.hospitals:
-            regions_of[h].append(k)
-    region_load = [0] * len(instance.regions)
-    hospital_load = {h: 0 for h in instance.hospitals}
+    loads = _Loads(index)
     pairs = []
     for r in instance.residents:
         for h in instance.resident_prefs[r]:
-            if hospital_load[h] >= instance.capacities[h]:
-                continue
-            if any(region_load[k] >= instance.regions[k].cap for k in regions_of[h]):
-                continue
-            pairs.append((r, h))
-            hospital_load[h] += 1
-            for k in regions_of[h]:
-                region_load[k] += 1
-            break
+            if loads.fits(h):
+                pairs.append((r, h))
+                loads.add(h)
+                break
     return Assignment.of(pairs)
 
 
-def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
+def find_2x2_subinstances(
+    instance: Instance, *, index: InstanceIndex | None = None
+) -> list[SubInstance2x2]:
     """Locate every independent 2x2 block, in region declaration order.
 
     A size-2 region forms a block exactly when two residents are acceptable
     to both member hospitals.
     """
-    require_valid(instance)
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if not cls.disjoint:
         raise ValueError("2x2 block extraction requires disjoint regions")
-    hospital_index = instance.hospital_index()
-    resident_index = instance.resident_index()
+    hospital_index = index.hospital_pos
+    resident_index = index.resident_pos
     out = []
     for reg in instance.regions:
         if len(reg.hospitals) != 2:
@@ -151,9 +164,7 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
         if len(common) != 2:
             continue
         r1, r2 = sorted(common, key=resident_index.__getitem__)
-        if not all(
-            h in instance.resident_prefs[r] for r in (r1, r2) for h in reg.hospitals
-        ):
+        if not all(h in index.rrank[r] for r in (r1, r2) for h in reg.hospitals):
             continue
         h1, h2 = sorted(reg.hospitals, key=hospital_index.__getitem__)
         out.append(SubInstance2x2((r1, r2), (h1, h2), reg))
@@ -176,25 +187,6 @@ def _block_instance(instance: Instance, sub: SubInstance2x2) -> Instance:
     )
 
 
-def _solve_block(block: Instance) -> Assignment | None:
-    """Brute-force one 2x2 block: first strongly stable matching in canonical order."""
-    r1, r2 = block.residents
-    options1 = list(block.resident_prefs[r1]) + [None]
-    options2 = list(block.resident_prefs[r2]) + [None]
-    hospital_index = block.hospital_index()
-    options1.sort(key=lambda h: len(block.hospitals) if h is None else hospital_index[h])
-    options2.sort(key=lambda h: len(block.hospitals) if h is None else hospital_index[h])
-    for h1 in options1:
-        for h2 in options2:
-            pairs = [(r, h) for r, h in ((r1, h1), (r2, h2)) if h is not None]
-            candidate = Assignment.of(pairs)
-            if not is_matching(block, candidate) or not is_feasible(block, candidate):
-                continue
-            if is_strongly_stable(block, candidate):
-                return candidate
-    return None
-
-
 def _remove_blocks(instance: Instance, subs: list[SubInstance2x2]) -> Instance:
     removed_residents = {r for sub in subs for r in sub.residents}
     removed_hospitals = {h for sub in subs for h in sub.hospitals}
@@ -211,16 +203,16 @@ def _remove_blocks(instance: Instance, subs: list[SubInstance2x2]) -> Instance:
     )
     # Blocks are closed under acceptability, so no surviving list or region
     # may mention a removed agent.
-    for r in rest.residents:
-        assert not set(rest.resident_prefs[r]) & removed_hospitals
-    for h in rest.hospitals:
-        assert not set(rest.hospital_prefs[h]) & removed_residents
-    for reg in rest.regions:
-        assert not reg.hospitals & removed_hospitals
+    if (
+        any(removed_hospitals.intersection(rest.resident_prefs[r]) for r in rest.residents)
+        or any(removed_residents.intersection(rest.hospital_prefs[h]) for h in rest.hospitals)
+        or any(reg.hospitals & removed_hospitals for reg in rest.regions)
+    ):
+        raise RuntimeError("a 2x2 block is not closed under acceptability")
     return rest
 
 
-def solve_2x2_free(instance: Instance) -> Assignment:
+def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
     """Solve disjoint (2,2,2) instances that contain no 2x2 block.
 
     Runs deferred acceptance ignoring regions, then repeatedly picks an
@@ -230,7 +222,8 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     resident's less-preferred member while it still has capacity, or any
     member with capacity left.
     """
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if not cls.disjoint:
         raise ValueError("solver requires disjoint regions")
     if cls.alpha > 2:
@@ -252,18 +245,17 @@ def solve_2x2_free(instance: Instance) -> Assignment:
                 )
 
     capacities = dict(instance.capacities)
-    hospital_index = instance.hospital_index()
+    hospital_index = index.hospital_pos
     budget = sum(capacities.values()) + 1
     for _ in range(budget):
-        current = replace(instance, capacities=dict(capacities))
-        matching = rgs(current, ignore_regions=True)
+        current = index.with_capacities(dict(capacities))
+        matching = rgs(current.instance, ignore_regions=True, index=current)
+        region_load = [0] * len(instance.regions)
+        for _r, h in matching.pairs:
+            for k in index.regions_of[h]:
+                region_load[k] += 1
         overloaded = next(
-            (
-                reg
-                for reg in instance.regions
-                if len({r for r, h in matching.pairs if h in reg.hospitals}) > reg.cap
-            ),
-            None,
+            (reg for reg, load in zip(instance.regions, region_load) if load > reg.cap), None
         )
         if overloaded is None:
             return matching
@@ -273,36 +265,49 @@ def solve_2x2_free(instance: Instance) -> Assignment:
         elif len(common[overloaded.hospitals]) == 1:
             (r,) = common[overloaded.hospitals]
             prefs = instance.resident_prefs[r]
-            h_plus, h_minus = sorted(members, key=prefs.index)
+            h_plus, h_minus = sorted(members, key=index.rrank[r].__getitem__)
             squeeze = h_minus if capacities[h_minus] > 0 else h_plus
         else:
-            squeeze = next(h for h in members if capacities[h] > 0)
-        assert capacities[squeeze] > 0
+            squeeze = next((h for h in members if capacities[h] > 0), members[0])
+        # An overloaded region holds a resident, so some member has capacity.
+        if capacities[squeeze] <= 0:
+            raise RuntimeError(
+                f"capacity reduction found region {members} overloaded with no capacity left"
+            )
         capacities[squeeze] -= 1
     raise RuntimeError("capacity reduction failed to terminate")
 
 
-def solve_222_disjoint(instance: Instance) -> SolveOutcome:
+def solve_222_disjoint(
+    instance: Instance, *, index: InstanceIndex | None = None
+) -> SolveOutcome:
     """Decide disjoint (2,2,2) instances.
 
     Every 2x2 block is independent of the rest, so the instance has a
     strongly stable matching exactly when each block has one and the
-    block-free remainder (which always does) is solved alongside.
+    block-free remainder (which always does) is solved alongside.  Each
+    block takes its canonically first strongly stable matching, found by
+    exhaustive search over its at most nine assignments.
     """
-    cls = classify(instance)
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
     if not (cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint):
         raise ValueError(f"solver requires a disjoint (2,2,2) instance, got {cls}")
-    subs = find_2x2_subinstances(instance)
+    subs = find_2x2_subinstances(instance, index=index)
     block_pairs: list[tuple[str, str]] = []
     for sub in subs:
-        solved = _solve_block(_block_instance(instance, sub))
-        if solved is None:
+        # A block restricts a valid instance to agents that list only each other.
+        block = _block_instance(instance, sub)
+        solved = exists_strongly_stable(block, index=InstanceIndex(block))
+        if not solved.is_found:
             return SolveOutcome.none_exists()
-        block_pairs.extend(solved.pairs)
-    rest = _remove_blocks(instance, subs)
-    core = solve_2x2_free(shrink(rest))
+        block_pairs.extend(solved.matching.pairs)
+    # The remainder of a valid instance is valid once its blocks are closed,
+    # which _remove_blocks checks, and shrinking keeps it valid.
+    rest = shrink(_remove_blocks(instance, subs))
+    core = solve_2x2_free(rest, index=InstanceIndex(rest))
     matching = Assignment.of(block_pairs + list(core.pairs))
-    return SolveOutcome.found(_certified(instance, matching, "solve_222_disjoint"))
+    return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint", index=index))
 
 
 def _hardness_note(cls: InstanceClass) -> str:
@@ -320,31 +325,33 @@ def _hardness_note(cls: InstanceClass) -> str:
     )
 
 
-def dispatch(instance: Instance, brute_limit: int = DEFAULT_BRUTE_LIMIT) -> SolveOutcome:
+def dispatch(
+    instance: Instance,
+    brute_limit: int = DEFAULT_BRUTE_LIMIT,
+    *,
+    index: InstanceIndex | None = None,
+) -> SolveOutcome:
     """Route an instance to the first applicable solver.
 
     Priority: singleton regions, unit resident lists, unit hospital lists,
     disjoint (2,2,2), then exhaustive search when the instance has at most
-    ``brute_limit`` agents in total.
+    ``brute_limit`` agents in total.  A found matching is always certified
+    strongly stable.
     """
-    require_valid(instance)
-    cls = classify(instance)
-    if cls.gamma <= 1:
-        return SolveOutcome.found(
-            _certified(instance, solve_regions_size1(instance), "solve_regions_size1")
-        )
-    if cls.alpha <= 1:
-        return SolveOutcome.found(
-            _certified(instance, solve_res_len1(instance), "solve_res_len1")
-        )
-    if cls.beta <= 1:
-        return SolveOutcome.found(
-            _certified(instance, solve_hosp_len1(instance), "solve_hosp_len1")
-        )
+    index = index_for(instance, index)
+    cls = classify(instance, index=index)
+    for applies, solver in (
+        (cls.gamma <= 1, solve_regions_size1),
+        (cls.alpha <= 1, solve_res_len1),
+        (cls.beta <= 1, solve_hosp_len1),
+    ):
+        if applies:
+            matching = solver(instance, index=index)
+            return SolveOutcome.found(certified(instance, matching, solver.__name__, index=index))
     if cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint:
-        return solve_222_disjoint(instance)
+        return solve_222_disjoint(instance, index=index)
     if len(instance.residents) + len(instance.hospitals) <= brute_limit:
-        return exists_strongly_stable(instance)
+        return exists_strongly_stable(instance, index=index)
     return SolveOutcome.unknown(
         _hardness_note(cls)
         + f"; instance has {len(instance.residents) + len(instance.hospitals)} agents, "

@@ -781,10 +781,8 @@ def decode_matching(
     the formula.
     """
     if variant is ReductionVariant.ONE_IN_THREE_222:
-        return {
-            i: matching.residents_of(_x1(i)) != frozenset()
-            for i in range(1, formula.num_vars + 1)
-        }
+        filled = {h for _r, h in matching.pairs}
+        return {i: _x1(i) in filled for i in range(1, formula.num_vars + 1)}
     table = occurrence_table(formula)
     out: SatAssignment = {}
     for i in range(1, formula.num_vars + 1):

@@ -6,13 +6,23 @@ its current assignees.  A blocking pair blocks *strongly* when moving r to h
 keeps every regional cap satisfied, or when h prefers r to a current
 assignee.  A feasible matching with no strong blocking pair is strongly
 stable.
+
+Every public function reads the matching once into a :class:`_MatchingState`
+over the instance's :class:`~hrrc.index.InstanceIndex`: who sits where, each
+hospital's worst assignee, and each region's load.  With it a check costs
+time linear in the instance's size plus the size of its output: blocking
+pairs come from each resident's better prefix alone, a witness's displaced
+resident is its hospital's worst assignee, and a move's feasibility looks
+only at the regions it adds load to.  Pass the instance's index to skip
+building it; the instance is not validated here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from .index import InstanceIndex, index_for
 from .model import Assignment, Instance
 
 KIND_BP = "BP"
@@ -53,8 +63,91 @@ class BlockingWitness:
         return out
 
 
-def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:
-    """Why ``assignment`` is not a matching of ``instance`` (empty if it is)."""
+class StabilityReport:
+    """Everything ``hrrc check`` prints about one assignment, computed once.
+
+    ``violations`` is empty exactly when the assignment is a matching; the
+    other fields are meaningful only then.  ``strong_blocking_pairs`` is
+    empty unless the matching is feasible.
+    """
+
+    __slots__ = ("violations", "feasible", "blocking_pairs", "strong_blocking_pairs")
+
+    def __init__(
+        self,
+        violations: list[str],
+        feasible: bool,
+        blocking_pairs: list[tuple[str, str]],
+        strong_blocking_pairs: list[BlockingWitness],
+    ):
+        self.violations = violations
+        self.feasible = feasible
+        self.blocking_pairs = blocking_pairs
+        self.strong_blocking_pairs = strong_blocking_pairs
+
+    @property
+    def strongly_stable(self) -> bool:
+        return not self.violations and self.feasible and not self.strong_blocking_pairs
+
+
+class _MatchingState:
+    """One matching read over one compiled instance.
+
+    ``worst[h]`` is ``h``'s least-preferred assignee and ``worst_rank[h]``
+    its rank (-1 with no assignee); ``region_load[k]`` counts the residents
+    inside region ``k``.
+    """
+
+    __slots__ = ("index", "hospital_of", "assignees", "worst", "worst_rank", "region_load")
+
+    def __init__(self, index: InstanceIndex, hospital_of: dict[str, str],
+                 assignees: dict[str, list[str]]):
+        self.index = index
+        self.hospital_of = hospital_of
+        self.assignees = assignees
+        self.worst: dict[str, str] = {}
+        self.worst_rank: dict[str, int] = {}
+        self.region_load = [0] * len(index.region_caps)
+        hrank, regions_of, load = index.hrank, index.regions_of, self.region_load
+        for h, rs in assignees.items():
+            if not rs:
+                self.worst_rank[h] = -1
+                continue
+            rank = hrank[h]
+            worst = max(rs, key=rank.__getitem__)
+            self.worst[h] = worst
+            self.worst_rank[h] = rank[worst]
+            for k in regions_of[h]:
+                load[k] += len(rs)
+
+    @property
+    def feasible(self) -> bool:
+        return all(load <= cap for load, cap in zip(self.region_load, self.index.region_caps))
+
+
+def _read(index: InstanceIndex, assignment: Assignment) -> tuple[_MatchingState | None, list[str]]:
+    """The matching state, or None and the violations if not a matching."""
+    instance = index.instance
+    hospital_of: dict[str, str] = {}
+    assignees: dict[str, list[str]] = {h: [] for h in instance.hospitals}
+    clean = True
+    for r, h in assignment.pairs:
+        ranks = index.rrank.get(r)
+        held = assignees.get(h)
+        if ranks is None or h not in ranks or r in hospital_of or held is None:
+            clean = False
+        if held is not None:
+            held.append(r)  # every pair at a known hospital counts toward its load
+        hospital_of[r] = h
+    capacities = index.capacities
+    if clean and all(len(rs) <= capacities[h] for h, rs in assignees.items()):
+        return _MatchingState(index, hospital_of, assignees), []
+    return None, _violations(instance, assignment, assignees)
+
+
+def _violations(
+    instance: Instance, assignment: Assignment, assignees: dict[str, list[str]]
+) -> list[str]:
     out: list[str] = []
     seen_residents: set[str] = set()
     for r, h in assignment.sorted_pairs():
@@ -68,20 +161,72 @@ def matching_violations(instance: Instance, assignment: Assignment) -> list[str]
             out.append(f"resident {r!r} is assigned more than once")
         seen_residents.add(r)
     for h in instance.hospitals:
-        load = len(assignment.residents_of(h))
+        load = len(assignees[h])
         if load > instance.capacities[h]:
             out.append(f"hospital {h!r} holds {load} residents, capacity {instance.capacities[h]}")
     return out
 
 
-def is_matching(instance: Instance, assignment: Assignment) -> bool:
-    return not matching_violations(instance, assignment)
-
-
-def _require_matching(instance: Instance, assignment: Assignment) -> None:
-    violations = matching_violations(instance, assignment)
-    if violations:
+def _state(instance: Instance, matching: Assignment, index: InstanceIndex | None) -> _MatchingState:
+    state, violations = _read(index_for(instance, index, validate=False), matching)
+    if state is None:
         raise ValueError("not a matching: " + "; ".join(violations))
+    return state
+
+
+def _blocking(state: _MatchingState) -> Iterator[tuple[str, str]]:
+    """Blocking pairs in (resident-declaration, hospital-declaration) order."""
+    index = state.index
+    instance = index.instance
+    hospital_pos, hrank, capacities = index.hospital_pos, index.hrank, index.capacities
+    hospital_of, assignees, worst_rank = state.hospital_of, state.assignees, state.worst_rank
+    for r in instance.residents:
+        prefs = instance.resident_prefs[r]
+        current = hospital_of.get(r)
+        # Hospitals r would rather have: its whole list when unassigned,
+        # otherwise the strict prefix before its current hospital.
+        better = prefs if current is None else prefs[: index.rrank[r][current]]
+        if len(better) > 1:
+            better = sorted(better, key=hospital_pos.__getitem__)
+        for h in better:
+            if len(assignees[h]) < capacities[h] or hrank[h][r] < worst_rank[h]:
+                yield (r, h)
+
+
+def _move_feasible(state: _MatchingState, r: str, h: str) -> bool:
+    """Whether moving ``r`` to ``h`` keeps every cap of a feasible matching.
+
+    Only the regions containing ``h`` and not ``r``'s current hospital gain
+    a resident; every other region's load stays or falls.
+    """
+    regions_of, caps, load = state.index.regions_of, state.index.region_caps, state.region_load
+    current = state.hospital_of.get(r)
+    left = regions_of[current] if current is not None else ()
+    return all(load[k] < caps[k] for k in regions_of[h] if k not in left)
+
+
+def _witnesses(
+    state: _MatchingState, pairs: Iterable[tuple[str, str]]
+) -> Iterator[BlockingWitness]:
+    hrank, worst, worst_rank = state.index.hrank, state.worst, state.worst_rank
+    for r, h in pairs:
+        displaced = worst[h] if hrank[h][r] < worst_rank[h] else None
+        move_ok = _move_feasible(state, r, h)
+        if displaced is not None or move_ok:
+            yield BlockingWitness(r, h, KIND_SBP, move_feasible=move_ok, displaced=displaced)
+
+
+def matching_violations(
+    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
+) -> list[str]:
+    """Why ``assignment`` is not a matching of ``instance`` (empty if it is)."""
+    return _read(index_for(instance, index, validate=False), assignment)[1]
+
+
+def is_matching(
+    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
+) -> bool:
+    return not matching_violations(instance, assignment, index=index)
 
 
 def region_load(instance: Instance, assignment: Assignment, region: Iterable[str]) -> int:
@@ -92,85 +237,47 @@ def region_load(instance: Instance, assignment: Assignment, region: Iterable[str
     return len({r for r, h in assignment.pairs if h in members})
 
 
-def _loads(instance: Instance, pairs: frozenset[tuple[str, str]]) -> list[int]:
-    return [
-        len({r for r, h in pairs if h in reg.hospitals}) for reg in instance.regions
-    ]
-
-
-def is_feasible(instance: Instance, matching: Assignment) -> bool:
+def is_feasible(
+    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
+) -> bool:
     """Whether every regional cap holds.  Rejects non-matching assignments."""
-    _require_matching(instance, matching)
-    return all(
-        load <= reg.cap for load, reg in zip(_loads(instance, matching.pairs), instance.regions)
-    )
+    return _state(instance, matching, index).feasible
 
 
-def _assignment_maps(
-    instance: Instance, matching: Assignment
-) -> tuple[dict[str, str], dict[str, list[str]]]:
-    hospital_of: dict[str, str] = {}
-    residents_of: dict[str, list[str]] = {h: [] for h in instance.hospitals}
-    for r, h in matching.sorted_pairs():
-        hospital_of[r] = h
-        residents_of[h].append(r)
-    return hospital_of, residents_of
-
-
-def blocking_pairs(instance: Instance, matching: Assignment) -> list[tuple[str, str]]:
+def blocking_pairs(
+    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
+) -> list[tuple[str, str]]:
     """All blocking pairs, in (resident-declaration, hospital-declaration) order."""
-    _require_matching(instance, matching)
-    hospital_of, residents_of = _assignment_maps(instance, matching)
-    hrank = {h: {r: i for i, r in enumerate(prefs)} for h, prefs in instance.hospital_prefs.items()}
-    out: list[tuple[str, str]] = []
-    for r in instance.residents:
-        prefs = instance.resident_prefs[r]
-        current = hospital_of.get(r)
-        # Hospitals r would rather have: its whole list when unassigned,
-        # otherwise the strict prefix before its current hospital.
-        better = prefs if current is None else prefs[: prefs.index(current)]
-        better_set = set(better)
-        for h in instance.hospitals:
-            if h not in better_set:
-                continue
-            assigned = residents_of[h]
-            if len(assigned) < instance.capacities[h] or any(
-                hrank[h][r] < hrank[h][r2] for r2 in assigned
-            ):
-                out.append((r, h))
-    return out
+    return list(_blocking(_state(instance, matching, index)))
 
 
-def _move_is_feasible(instance: Instance, matching: Assignment, r: str, h: str) -> bool:
-    old = matching.hospital_of(r)
-    moved = set(matching.pairs)
-    if old is not None:
-        moved.discard((r, old))
-    moved.add((r, h))
-    pairs = frozenset(moved)
-    return all(load <= reg.cap for load, reg in zip(_loads(instance, pairs), instance.regions))
-
-
-def strong_blocking_pairs(instance: Instance, matching: Assignment) -> list[BlockingWitness]:
+def strong_blocking_pairs(
+    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
+) -> list[BlockingWitness]:
     """Witnesses for every strong blocking pair of a feasible matching."""
-    if not is_feasible(instance, matching):
+    state = _state(instance, matching, index)
+    if not state.feasible:
         raise ValueError("strong blocking pairs are defined only for feasible matchings")
-    hrank = {h: {r: i for i, r in enumerate(prefs)} for h, prefs in instance.hospital_prefs.items()}
-    out: list[BlockingWitness] = []
-    for r, h in blocking_pairs(instance, matching):
-        assigned = matching.residents_of(h)
-        worse = [r2 for r2 in assigned if hrank[h][r] < hrank[h][r2]]
-        displaced = max(worse, key=lambda r2: hrank[h][r2]) if worse else None
-        move_ok = _move_is_feasible(instance, matching, r, h)
-        if displaced is not None or move_ok:
-            out.append(
-                BlockingWitness(r, h, KIND_SBP, move_feasible=move_ok, displaced=displaced)
-            )
-    return out
+    return list(_witnesses(state, _blocking(state)))
 
 
-def is_strongly_stable(instance: Instance, matching: Assignment) -> bool:
+def is_strongly_stable(
+    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
+) -> bool:
     """Whether ``matching`` is feasible and admits no strong blocking pair."""
-    if not is_feasible(instance, matching):
+    state = _state(instance, matching, index)
+    if not state.feasible:
         return False
-    return not strong_blocking_pairs(instance, matching)
+    return next(_witnesses(state, _blocking(state)), None) is None
+
+
+def report(
+    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
+) -> StabilityReport:
+    """Violations, feasibility, blocking and strong blocking pairs, in one pass."""
+    state, violations = _read(index_for(instance, index, validate=False), assignment)
+    if state is None:
+        return StabilityReport(violations, False, [], [])
+    bps = list(_blocking(state))
+    sbps = list(_witnesses(state, bps)) if state.feasible else []
+    return StabilityReport([], state.feasible, bps, sbps)

@@ -215,3 +215,76 @@ def test_usage_error_exit_code(capsys, tmp_path):
 def test_solve_auto_is_byte_deterministic(capsys, g2_file):
     runs = [run(capsys, "solve", g2_file, "--json") for _ in range(3)]
     assert len({(code, out) for code, out, _ in runs}) == 1
+
+
+def _cap2_file(tmp_path):
+    from dataclasses import replace
+
+    from hrrc.model import Region
+
+    cap2 = replace(example_g2(), regions=(Region(frozenset({"h1", "h2"}), 2),))
+    path = tmp_path / "cap2.json"
+    path.write_text(save_instance(cap2))
+    return str(path)
+
+
+def test_solve_out_to_missing_directory_is_an_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "m.json")
+    code, out, err = run(capsys, "solve", _cap2_file(tmp_path), "--out", missing)
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert out == ""  # no verdict precedes the failure
+
+
+def test_failed_certificate_exits_2(capsys, tmp_path, monkeypatch):
+    import hrrc.poly_solvers as poly_solvers
+
+    monkeypatch.setattr(poly_solvers, "is_strongly_stable", lambda *a, **k: False)
+    code, out, err = run(capsys, "solve", _cap2_file(tmp_path))
+    assert code == 2
+    assert err.startswith("error: internal error: RuntimeError")
+    assert "solve_222_disjoint produced a matching that is not strongly stable" in err
+    assert "Traceback" in err  # kept for diagnosis, after the error line
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    ("algorithm", "solver"),
+    [
+        ("alg1", "solve_regions_size1"),
+        ("alg2", "solve_res_len1"),
+        ("alg3", "solve_hosp_len1"),
+        ("alg4", "solve_2x2_free"),
+    ],
+)
+def test_explicit_algorithms_are_certified(capsys, tmp_path, monkeypatch, algorithm, solver):
+    import hrrc.poly_solvers as poly_solvers
+    from hrrc.model import make_instance
+
+    single = make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, ["r"])])
+    path = tmp_path / "single.json"
+    path.write_text(save_instance(single))
+    code, out, _ = run(capsys, "solve", str(path), "--algorithm", algorithm)
+    assert (code, out) == (0, "found\n" + save_matching(Assignment.of([("r", "h")])))
+
+    monkeypatch.setattr(poly_solvers, "is_strongly_stable", lambda *a, **k: False)
+    code, out, err = run(capsys, "solve", str(path), "--algorithm", algorithm)
+    assert code == 2
+    assert f"{solver} produced a matching that is not strongly stable" in err
+    assert out == ""
+
+
+def test_brute_force_too_deep_exits_2(capsys, tmp_path):
+    from hrrc.model import make_instance
+
+    n = 1500
+    deep = make_instance(
+        residents=[(f"r{i}", [f"h{i}"]) for i in range(n)],
+        hospitals=[(f"h{i}", 1, [f"r{i}"]) for i in range(n)],
+    )
+    path = tmp_path / "deep.json"
+    path.write_text(save_instance(deep))
+    code, out, err = run(capsys, "brute", str(path), "--force")
+    assert code == 2
+    assert err.startswith("error: search too deep")
+    assert out == ""

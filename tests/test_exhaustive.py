@@ -121,3 +121,15 @@ def test_count_overflow_warning():
         warnings.simplefilter("always")
         list(enumerate_feasible(inst, warn_limit=2))
     assert any("enumeration passed" in str(w.message) for w in caught)
+
+
+def test_final_certificate_failure_raises(monkeypatch):
+    import hrrc.exhaustive as exhaustive
+    from dataclasses import replace
+
+    from hrrc.model import Region
+
+    cap2 = replace(example_g2(), regions=(Region(frozenset({"h1", "h2"}), 2),))
+    monkeypatch.setattr(exhaustive, "is_strongly_stable", lambda *a, **k: False)
+    with pytest.raises(RuntimeError, match="not strongly stable"):
+        exists_strongly_stable(cap2)

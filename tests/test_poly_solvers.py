@@ -352,3 +352,38 @@ def test_dispatch_outcomes_match_oracle_on_mixed_instances():
         assert out.status == oracle.status
         if out.is_found:
             assert is_strongly_stable(inst, out.matching)
+
+
+# --- internal consistency checks raise, whatever the interpreter flags -------
+
+
+def test_unclosed_block_raises(monkeypatch):
+    import hrrc.poly_solvers as poly_solvers
+    from hrrc.poly_solvers import SubInstance2x2
+
+    # r3 still lists h1, so removing the claimed block (r1, r2, h1, h2) would
+    # leave a dangling reference.
+    inst = make_instance(
+        residents=[("r1", ["h1"]), ("r2", ["h2"]), ("r3", ["h1"])],
+        hospitals=[("h1", 1, ["r1", "r3"]), ("h2", 1, ["r2"])],
+        regions=[({"h1", "h2"}, 1)],
+    )
+    bogus = SubInstance2x2(("r1", "r2"), ("h1", "h2"), inst.regions[0])
+    monkeypatch.setattr(poly_solvers, "find_2x2_subinstances", lambda *a, **k: [bogus])
+    with pytest.raises(RuntimeError, match="not closed under acceptability"):
+        solve_222_disjoint(inst)
+
+
+def test_squeeze_without_capacity_raises(monkeypatch):
+    import hrrc.poly_solvers as poly_solvers
+
+    inst = make_instance(
+        residents=[("r1", ["h1"])],
+        hospitals=[("h1", 1, ["r1"])],
+        regions=[({"h1"}, 0)],
+    )
+    # Deferred acceptance that ignores the lowered capacity keeps the region
+    # overloaded after its only hospital has been squeezed to zero.
+    monkeypatch.setattr(poly_solvers, "rgs", lambda *a, **k: Assignment.of([("r1", "h1")]))
+    with pytest.raises(RuntimeError, match="no capacity left"):
+        solve_2x2_free(inst)
