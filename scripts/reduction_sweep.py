@@ -11,12 +11,17 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
+from typing import NoReturn
 
-from hrrc import (
-    CnfFormula,
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from gen import random_ppn_formula  # noqa: E402
+from hrrc import (  # noqa: E402
     ReductionVariant,
-    check_ppn,
     decode_matching,
     encode_assignment,
     exists_strongly_stable,
@@ -24,32 +29,13 @@ from hrrc import (
     reduce_ppn,
     sat_brute,
 )
-from hrrc.reductions import satisfies
+from hrrc.reductions import satisfies  # noqa: E402
 
 VARIANTS = [ReductionVariant.PPN_223, ReductionVariant.PPN_232, ReductionVariant.PPN_322]
 
 
-def sample_ppn(rng: random.Random, n: int, max_tries: int = 500) -> CnfFormula:
-    slots = []
-    for i in range(1, n + 1):
-        slots += [(i, 1), (i, 1), (i, -1)]
-    for _ in range(max_tries):
-        m3 = rng.choice(range(n % 2, n + 1, 2))
-        sizes = [3] * m3 + [2] * ((3 * n - 3 * m3) // 2)
-        rng.shuffle(slots)
-        clauses, pos, ok = [], 0, True
-        for size in sizes:
-            block = slots[pos : pos + size]
-            pos += size
-            if len(set(block)) != len(block):
-                ok = False
-                break
-            clauses.append(tuple(v * s for v, s in block))
-        if ok:
-            formula = CnfFormula(n, tuple(clauses))
-            if not check_ppn(formula):
-                return formula
-    raise RuntimeError(f"no PPN formula sampled at n={n}")
+def fail(message: str) -> NoReturn:
+    raise SystemExit(f"round trip failed: {message}")
 
 
 def main() -> None:
@@ -63,20 +49,23 @@ def main() -> None:
     t0 = time.perf_counter()
     stats = {v: {"sat": 0, "unsat": 0} for v in VARIANTS}
     for _ in range(args.count):
-        formula = sample_ppn(rng, rng.randint(2, args.max_vars))
+        formula = random_ppn_formula(rng, rng.randint(2, args.max_vars))
         witness = sat_brute(formula)
         for variant in VARIANTS:
             instance, _table = reduce_ppn(formula, variant)
             out = exists_strongly_stable(instance)
-            assert out.is_found == (witness is not None), (formula, variant)
+            if out.is_found != (witness is not None):
+                fail(f"{variant.value} says {out.status} on {formula}, sat_brute {witness}")
             if witness is None:
                 stats[variant]["unsat"] += 1
                 continue
             stats[variant]["sat"] += 1
             encoded = encode_assignment(formula, witness, variant)
-            assert is_strongly_stable(instance, encoded)
-            assert satisfies(formula, decode_matching(formula, encoded, variant))
-            assert satisfies(formula, decode_matching(formula, out.matching, variant))
+            if not is_strongly_stable(instance, encoded):
+                fail(f"{variant.value}: the encoded witness of {formula} is not strongly stable")
+            for matching in (encoded, out.matching):
+                if not satisfies(formula, decode_matching(formula, matching, variant)):
+                    fail(f"{variant.value}: a matching of {formula} decodes to a non-model")
     dt = time.perf_counter() - t0
     for variant in VARIANTS:
         s = stats[variant]

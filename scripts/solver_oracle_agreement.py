@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NoReturn
 
-from hrrc import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from gen import random_instance  # noqa: E402
+from hrrc import (  # noqa: E402
     exists_strongly_stable,
     is_strongly_stable,
-    make_instance,
     solve_222_disjoint,
     solve_hosp_len1,
     solve_regions_size1,
@@ -31,56 +37,14 @@ class SweepConfig:
     max_side: int
 
 
-def sample_instance(rng, max_side, alpha, beta, gamma, disjoint):
-    n_res = rng.randint(1, max_side)
-    n_hosp = rng.randint(1, max_side)
-    residents = [f"r{i}" for i in range(1, n_res + 1)]
-    hospitals = [f"h{i}" for i in range(1, n_hosp + 1)]
-    alpha = alpha or n_hosp
-    beta = beta or n_res
-    deg_r = {r: 0 for r in residents}
-    deg_h = {h: 0 for h in hospitals}
-    edges = set()
-    pairs = [(r, h) for r in residents for h in hospitals]
-    rng.shuffle(pairs)
-    for r, h in pairs:
-        if deg_r[r] < alpha and deg_h[h] < beta and rng.random() < 0.6:
-            edges.add((r, h))
-            deg_r[r] += 1
-            deg_h[h] += 1
-
-    def order(items):
-        items = list(items)
-        rng.shuffle(items)
-        return items
-
-    res_rows = [(r, order(h for h in hospitals if (r, h) in edges)) for r in residents]
-    hosp_rows = [
-        (h, rng.randint(0, 3), order(r for r in residents if (r, h) in edges))
-        for h in hospitals
-    ]
-    regions = []
-    if gamma:
-        pool = order(hospitals)
-        if disjoint:
-            while pool and rng.random() < 0.8:
-                size = rng.randint(1, min(gamma, len(pool)))
-                regions.append((frozenset(pool[:size]), rng.randint(0, 3)))
-                del pool[:size]
-        else:
-            seen = set()
-            for _ in range(rng.randint(0, n_hosp)):
-                members = frozenset(rng.sample(hospitals, rng.randint(1, min(gamma, n_hosp))))
-                if members not in seen:
-                    seen.add(members)
-                    regions.append((members, rng.randint(0, 3)))
-    return make_instance(res_rows, hosp_rows, regions)
+def fail(message: str) -> NoReturn:
+    raise SystemExit(f"disagreement: {message}")
 
 
 CLASSES = [
-    ("singleton regions", solve_regions_size1, dict(alpha=None, beta=None, gamma=1, disjoint=False)),
-    ("unit resident lists", solve_res_len1, dict(alpha=1, beta=None, gamma=3, disjoint=False)),
-    ("unit hospital lists", solve_hosp_len1, dict(alpha=None, beta=1, gamma=3, disjoint=False)),
+    ("singleton regions", solve_regions_size1, dict(gamma=1)),
+    ("unit resident lists", solve_res_len1, dict(alpha=1, gamma=3)),
+    ("unit hospital lists", solve_hosp_len1, dict(beta=1, gamma=3)),
 ]
 
 
@@ -96,22 +60,24 @@ def main() -> None:
         rng = random.Random(cfg.seed)
         t0 = time.perf_counter()
         for _ in range(cfg.samples):
-            inst = sample_instance(rng, cfg.max_side, **params)
-            assert is_strongly_stable(inst, solver(inst))
+            inst = random_instance(rng, cfg.max_side, cfg.max_side, **params)
+            if not is_strongly_stable(inst, solver(inst)):
+                fail(f"{solver.__name__} returned an unstable matching on {inst}")
         dt = time.perf_counter() - t0
         print(f"{name:22s} {cfg.samples} instances, all strongly stable  ({dt:.2f}s)")
 
     rng = random.Random(cfg.seed)
     t0 = time.perf_counter()
     verdicts = {"found": 0, "none-exists": 0}
+    side = min(cfg.max_side, 6)
     for _ in range(cfg.samples):
-        inst = sample_instance(
-            rng, min(cfg.max_side, 6), alpha=2, beta=2, gamma=2, disjoint=True
-        )
+        inst = random_instance(rng, side, side, alpha=2, beta=2, gamma=2, disjoint=True)
         out = solve_222_disjoint(inst)
-        assert out.status == exists_strongly_stable(inst).status
-        if out.is_found:
-            assert is_strongly_stable(inst, out.matching)
+        oracle = exists_strongly_stable(inst).status
+        if out.status != oracle:
+            fail(f"solve_222_disjoint says {out.status}, the oracle {oracle}, on {inst}")
+        if out.is_found and not is_strongly_stable(inst, out.matching):
+            fail(f"solve_222_disjoint returned an unstable matching on {inst}")
         verdicts[out.status] += 1
     dt = time.perf_counter() - t0
     print(

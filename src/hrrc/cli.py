@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,16 +34,6 @@ from .model import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-def _default_brute_limit() -> int:
-    raw = os.environ.get("HRRC_BRUTE_LIMIT")
-    if raw is None:
-        return poly_solvers.DEFAULT_BRUTE_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"HRRC_BRUTE_LIMIT must be an integer, got {raw!r}")
 
 
 def _read(path: str) -> str:
@@ -72,8 +61,8 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    instance = load_instance(_read(args.instance))
-    cls = classify(instance)
+    instance, index = _load(args.instance)
+    cls = classify(instance, index=index)
     if args.json:
         _emit_json(
             {"alpha": cls.alpha, "beta": cls.beta, "gamma": cls.gamma, "disjoint": cls.disjoint}
@@ -204,15 +193,11 @@ def _cmd_brute(args: argparse.Namespace) -> int:
     return _report_outcome(exhaustive.exists_strongly_stable(instance, index=index), args)
 
 
-def _target_variant(name: str) -> reductions.ReductionVariant:
-    return reductions.ReductionVariant(name)
-
-
 def _reduced_instance(args: argparse.Namespace) -> tuple[
     reductions.CnfFormula, Instance, reductions.OccurrenceTable | None
 ]:
     formula = reductions.parse_dimacs(_read(args.cnf))
-    variant = _target_variant(args.target)
+    variant = reductions.ReductionVariant(args.target)
     if variant is reductions.ReductionVariant.ONE_IN_THREE_222:
         if args.normalize_ppn:
             raise InstanceError("--normalize-ppn applies only to ppn-* targets")
@@ -224,10 +209,7 @@ def _reduced_instance(args: argparse.Namespace) -> tuple[
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    try:
-        _formula, instance, table = _reduced_instance(args)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    _formula, instance, table = _reduced_instance(args)
     if args.json:
         payload = {"instance": instance_to_doc(instance)}
         if table is not None:
@@ -247,15 +229,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    try:
-        formula, instance, _table = _reduced_instance(args)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
+    formula, instance, _table = _reduced_instance(args)
     matching = load_matching(_read(args.matching))
     if not stability.is_strongly_stable(instance, matching):
         print("matching is not strongly stable on the reduced instance", file=sys.stderr)
         return EXIT_NEGATIVE
-    variant = _target_variant(args.target)
+    variant = reductions.ReductionVariant(args.target)
     assignment = reductions.decode_matching(formula, matching, variant)
     if args.json:
         _emit_json({"assignment": {str(i): assignment[i] for i in sorted(assignment)}})
@@ -283,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "alg1", "alg2", "alg3", "alg4", "alg5", "brute"],
         default="auto",
     )
-    p.add_argument("--brute-limit", type=int, default=_default_brute_limit())
+    p.add_argument("--brute-limit", type=int, default=poly_solvers.DEFAULT_BRUTE_LIMIT)
     p.add_argument("--out", help="write a found matching document here instead of stdout")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_solve)
@@ -298,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--all", action="store_true", help="list every strongly stable matching")
     p.add_argument("--force", action="store_true", help="ignore the size cap")
-    p.add_argument("--limit", type=int, default=_default_brute_limit())
+    p.add_argument("--limit", type=int, default=poly_solvers.DEFAULT_BRUTE_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_brute)
 
@@ -335,10 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # input errors, InstanceError and DimacsError included
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError as exc:
-        print(f"error: search too deep ({exc}): the exhaustive search recurses once per "
-              "resident", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # exit 1 is a verdict; a crash must not read as one
         import traceback

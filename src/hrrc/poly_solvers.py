@@ -18,6 +18,7 @@ falls back to exhaustive search on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .exhaustive import exists_strongly_stable
 from .hr_core import rgs, shrink
@@ -80,24 +81,22 @@ def solve_regions_size1(instance: Instance, *, index: InstanceIndex | None = Non
     return rgs(trimmed.instance, ignore_regions=True, index=trimmed)
 
 
-class _Loads:
-    """Hospital and region loads of a matching under construction."""
-
-    def __init__(self, index: InstanceIndex):
-        self.index = index
-        self.hospital = dict.fromkeys(index.instance.hospitals, 0)
-        self.region = [0] * len(index.region_caps)
-
-    def fits(self, h: str) -> bool:
-        caps, region = self.index.region_caps, self.region
-        return self.hospital[h] < self.index.capacities[h] and all(
-            region[k] < caps[k] for k in self.index.regions_of[h]
-        )
-
-    def add(self, h: str) -> None:
-        self.hospital[h] += 1
-        for k in self.index.regions_of[h]:
-            self.region[k] += 1
+def _greedy(index: InstanceIndex, candidates: Iterable[tuple[str, str]]) -> Assignment:
+    """Take each candidate (r, h), in order, while r is free and h and its regions have room."""
+    hospital_load = dict.fromkeys(index.instance.hospitals, 0)
+    region_load = [0] * len(index.region_caps)
+    caps, regions_of = index.region_caps, index.regions_of
+    taken: dict[str, str] = {}
+    for r, h in candidates:
+        if r in taken or hospital_load[h] >= index.capacities[h]:
+            continue
+        if any(region_load[k] >= caps[k] for k in regions_of[h]):
+            continue
+        taken[r] = h
+        hospital_load[h] += 1
+        for k in regions_of[h]:
+            region_load[k] += 1
+    return Assignment.of(taken.items())
 
 
 def solve_res_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
@@ -110,15 +109,8 @@ def solve_res_len1(instance: Instance, *, index: InstanceIndex | None = None) ->
     cls = classify(instance, index=index)
     if cls.alpha > 1:
         raise ValueError(f"solver requires resident lists of length at most 1, got alpha={cls.alpha}")
-    loads = _Loads(index)
-    pairs = []
-    for h in instance.hospitals:
-        for r in instance.hospital_prefs[h]:
-            if not loads.fits(h):
-                continue
-            pairs.append((r, h))
-            loads.add(h)
-    return Assignment.of(pairs)
+    prefs = instance.hospital_prefs
+    return _greedy(index, ((r, h) for h in instance.hospitals for r in prefs[h]))
 
 
 def solve_hosp_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
@@ -131,15 +123,8 @@ def solve_hosp_len1(instance: Instance, *, index: InstanceIndex | None = None) -
     cls = classify(instance, index=index)
     if cls.beta > 1:
         raise ValueError(f"solver requires hospital lists of length at most 1, got beta={cls.beta}")
-    loads = _Loads(index)
-    pairs = []
-    for r in instance.residents:
-        for h in instance.resident_prefs[r]:
-            if loads.fits(h):
-                pairs.append((r, h))
-                loads.add(h)
-                break
-    return Assignment.of(pairs)
+    prefs = instance.resident_prefs
+    return _greedy(index, ((r, h) for r in instance.residents for h in prefs[r]))
 
 
 def find_2x2_subinstances(

@@ -467,21 +467,8 @@ def _slot_hospital(table: OccurrenceTable, j: int, ell: int) -> str:
     return _x(i, kind)
 
 
-def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
-    b = _Builder()
-    for i in range(1, formula.num_vars + 1):
-        b.resident(_e(i, 1), [_b(i, 1), _b(i, 3)])
-        b.resident(_e(i, 2), [_b(i, 2), _b(i, 4)])
-        b.hospital(_b(i, 1), 1, [_e(i, 1)])
-        b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
-        b.hospital(_b(i, 2), 1, [_e(i, 2)])
-        b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
-        b.hospital(_b(i, 3), 1, [_e(i, 1)])
-        b.hospital(_b(i, 4), 1, [_e(i, 2)])
-        b.hospital(_x(i, 3), 1, [_c(*table.negative[i])])
-        b.region((_b(i, 1), _x(i, 1)), 1)
-        b.region((_b(i, 2), _x(i, 2)), 1)
-        b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
+def _build_common_clauses(b: _Builder, formula: CnfFormula, table: OccurrenceTable) -> None:
+    """Clause gadgets shared by the 223 and 232 reductions."""
     for j, clause in enumerate(formula.clauses, start=1):
         if len(clause) == 2:
             b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
@@ -500,6 +487,24 @@ def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
             b.hospital(_y(j), 1, [_z(j)])
             b.region((_a(j, 1), _a(j, 2)), 1)
             b.region((_a(j, 3), _y(j)), 1)
+
+
+def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
+    b = _Builder()
+    for i in range(1, formula.num_vars + 1):
+        b.resident(_e(i, 1), [_b(i, 1), _b(i, 3)])
+        b.resident(_e(i, 2), [_b(i, 2), _b(i, 4)])
+        b.hospital(_b(i, 1), 1, [_e(i, 1)])
+        b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
+        b.hospital(_b(i, 2), 1, [_e(i, 2)])
+        b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
+        b.hospital(_b(i, 3), 1, [_e(i, 1)])
+        b.hospital(_b(i, 4), 1, [_e(i, 2)])
+        b.hospital(_x(i, 3), 1, [_c(*table.negative[i])])
+        b.region((_b(i, 1), _x(i, 1)), 1)
+        b.region((_b(i, 2), _x(i, 2)), 1)
+        b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
+    _build_common_clauses(b, formula, table)
     for j in range(1, len(formula.clauses) + 1):
         b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -523,24 +528,7 @@ def _build_ppn_232(formula: CnfFormula, table: OccurrenceTable) -> Instance:
         b.hospital(_x(i, 3), 2, [_e(i, 1), _e(i, 2), _c(*table.negative[i])])
         b.region((_b(i, 1), _x(i, 1)), 1)
         b.region((_b(i, 2), _x(i, 2)), 1)
-    for j, clause in enumerate(formula.clauses, start=1):
-        if len(clause) == 2:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 1)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _c(j, 2)])
-            b.hospital(_y(j), 1, [_z(j)])
-            b.region((_a(j, 1), _y(j)), 1)
-        else:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 1)])
-            b.resident(_d(j), [_a(j, 2), _a(j, 3)])
-            b.resident(_c(j, 3), [_slot_hospital(table, j, 3), _a(j, 3)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _c(j, 2)])
-            b.hospital(_a(j, 2), 1, [_d(j)])
-            b.hospital(_a(j, 3), 1, [_d(j), _c(j, 3)])
-            b.hospital(_y(j), 1, [_z(j)])
-            b.region((_a(j, 1), _a(j, 2)), 1)
-            b.region((_a(j, 3), _y(j)), 1)
+    _build_common_clauses(b, formula, table)
     for j in range(1, len(formula.clauses) + 1):
         b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -607,9 +595,6 @@ def reduce_ppn(
     """Translate a PPN formula into a disjoint-regions instance of the target class."""
     if variant not in _PPN_BUILDERS:
         raise ValueError(f"variant {variant} is not a PPN reduction target")
-    violations = check_ppn(formula)
-    if violations:
-        raise ValueError("formula is not in PPN shape: " + "; ".join(violations))
     table = occurrence_table(formula)
     return _PPN_BUILDERS[variant](formula, table), table
 

@@ -115,14 +115,12 @@ def test_check_rejects_non_matching(capsys, tmp_path, g2_file):
     assert "not a matching" in err
 
 
-def test_brute_size_cap_and_force(capsys, g2_file, monkeypatch):
-    monkeypatch.setenv("HRRC_BRUTE_LIMIT", "2")
-    code, _, err = run(capsys, "brute", g2_file)
+def test_brute_size_cap_and_force(capsys, g2_file):
+    code, _, err = run(capsys, "brute", g2_file, "--limit", "2")
     assert code == 2
     assert "--force" in err
-    code, out, _ = run(capsys, "brute", g2_file, "--force")
+    code, out, _ = run(capsys, "brute", g2_file, "--limit", "2", "--force")
     assert code == 1
-    monkeypatch.delenv("HRRC_BRUTE_LIMIT")
 
 
 def test_brute_all_lists_matchings(capsys, tmp_path):
@@ -274,7 +272,7 @@ def test_explicit_algorithms_are_certified(capsys, tmp_path, monkeypatch, algori
     assert out == ""
 
 
-def test_brute_force_too_deep_exits_2(capsys, tmp_path):
+def test_brute_force_decides_a_deep_instance(capsys, tmp_path):
     from hrrc.model import make_instance
 
     n = 1500
@@ -285,6 +283,7 @@ def test_brute_force_too_deep_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(save_instance(deep))
     code, out, err = run(capsys, "brute", str(path), "--force")
-    assert code == 2
-    assert err.startswith("error: search too deep")
-    assert out == ""
+    assert code == 0
+    expected = Assignment.of((f"r{i}", f"h{i}") for i in range(n))
+    assert out == "found\n" + save_matching(expected)
+    assert err == ""

@@ -112,6 +112,15 @@ def test_exists_agrees_with_set_and_returns_canonical_first():
             assert out.status == "none-exists"
 
 
+def test_strongly_stable_set_on_a_deep_instance():
+    n = 1500
+    deep = make_instance(
+        residents=[(f"r{i}", [f"h{i}"]) for i in range(n)],
+        hospitals=[(f"h{i}", 1, [f"r{i}"]) for i in range(n)],
+    )
+    assert strongly_stable_set(deep) == {Assignment.of((f"r{i}", f"h{i}") for i in range(n))}
+
+
 def test_count_overflow_warning():
     inst = make_instance(
         residents=[(f"r{i}", ["h"]) for i in range(3)],
@@ -133,3 +142,5 @@ def test_final_certificate_failure_raises(monkeypatch):
     monkeypatch.setattr(exhaustive, "is_strongly_stable", lambda *a, **k: False)
     with pytest.raises(RuntimeError, match="not strongly stable"):
         exists_strongly_stable(cap2)
+    with pytest.raises(RuntimeError, match="not strongly stable"):
+        strongly_stable_set(cap2)

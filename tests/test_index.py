@@ -10,7 +10,14 @@ import hrrc.model as model
 from gen import random_instance
 from hrrc.cli import main
 from hrrc.index import InstanceIndex, index_for
-from hrrc.model import InstanceError, example_g2, make_instance, save_instance
+from hrrc.model import (
+    Assignment,
+    InstanceError,
+    example_g2,
+    make_instance,
+    save_instance,
+    save_matching,
+)
 from hrrc.poly_solvers import dispatch, solve_222_disjoint
 
 
@@ -74,8 +81,12 @@ def test_solve_222_disjoint_validates_once(validations):
     assert len(validations) == 1
 
 
-def test_cli_solve_validates_once(validations, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["classify", "solve", "check", "brute"])
+def test_cli_validates_once(command, validations, tmp_path, capsys):
     path = tmp_path / "g2.json"
     path.write_text(save_instance(example_g2()))
-    assert main(["solve", str(path)]) == 1
+    matching = tmp_path / "empty.json"
+    matching.write_text(save_matching(Assignment()))
+    argv = [command, str(path)] + ([str(matching)] if command == "check" else [])
+    main(argv)
     assert len(validations) == 1
