@@ -3,7 +3,8 @@
 
 For the three always-solvable classes the experiment verifies every returned
 matching with the stability checker; for the disjoint (2,2,2) class it also
-compares the solver's verdict against exhaustive search.
+compares the solver's verdict against exhaustive search, and fails unless the
+sweep reaches both verdicts.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NoReturn
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from gen import random_instance  # noqa: E402
+from gen import TIGHT_2X2, random_instance  # noqa: E402
 from hrrc import (  # noqa: E402
     exists_strongly_stable,
     is_strongly_stable,
@@ -70,8 +71,12 @@ def main() -> None:
     t0 = time.perf_counter()
     verdicts = {"found": 0, "none-exists": 0}
     side = min(cfg.max_side, 6)
-    for _ in range(cfg.samples):
-        inst = random_instance(rng, side, side, alpha=2, beta=2, gamma=2, disjoint=True)
+    for k in range(cfg.samples):
+        # As in acceptance criterion 3, every third draw is a tight 2x2 one.
+        if k % 3 == 2:
+            inst = random_instance(rng, **TIGHT_2X2)
+        else:
+            inst = random_instance(rng, side, side, alpha=2, beta=2, gamma=2, disjoint=True)
         out = solve_222_disjoint(inst)
         oracle = exists_strongly_stable(inst).status
         if out.status != oracle:
@@ -84,6 +89,8 @@ def main() -> None:
         f"disjoint (2,2,2)       {cfg.samples} instances match the oracle: "
         f"{verdicts['found']} found, {verdicts['none-exists']} none-exists  ({dt:.2f}s)"
     )
+    if 0 in verdicts.values():
+        raise SystemExit("the disjoint (2,2,2) sweep reached only one verdict; draw more samples")
 
 
 if __name__ == "__main__":

@@ -18,10 +18,11 @@ falls back to exhaustive search on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
 from .exhaustive import exists_strongly_stable
-from .hr_core import rgs, shrink
+from .hr_core import DeferredAcceptance, rgs, shrink
 from .index import InstanceIndex, index_for
 from .model import (
     Assignment,
@@ -200,12 +201,13 @@ def _remove_blocks(instance: Instance, subs: list[SubInstance2x2]) -> Instance:
 def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
     """Solve disjoint (2,2,2) instances that contain no 2x2 block.
 
-    Runs deferred acceptance ignoring regions, then repeatedly picks an
+    Runs deferred acceptance ignoring regions, then repeatedly picks the first
     overloaded region, lowers the capacity of one of its hospitals, and
-    reruns, until every cap holds.  The hospital to squeeze is the region's
-    sole member, or (when one resident is acceptable to both members) that
-    resident's less-preferred member while it still has capacity, or any
-    member with capacity left.
+    resumes deferred acceptance from the rejection that forces, until every
+    cap holds.  The hospital to squeeze is the region's sole member, or (when
+    one resident is acceptable to both members) that resident's
+    less-preferred member while it still has capacity, or any member with
+    capacity left.
     """
     index = index_for(instance, index)
     cls = classify(instance, index=index)
@@ -229,27 +231,38 @@ def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) ->
                     "extract its 2x2 block first"
                 )
 
-    capacities = dict(instance.capacities)
     hospital_index = index.hospital_pos
-    budget = sum(capacities.values()) + 1
-    for _ in range(budget):
-        current = index.with_capacities(dict(capacities))
-        matching = rgs(current.instance, ignore_regions=True, index=current)
-        region_load = [0] * len(instance.regions)
-        for _r, h in matching.pairs:
-            for k in index.regions_of[h]:
-                region_load[k] += 1
-        overloaded = next(
-            (reg for reg, load in zip(instance.regions, region_load) if load > reg.cap), None
-        )
-        if overloaded is None:
-            return matching
-        members = sorted(overloaded.hospitals, key=hospital_index.__getitem__)
+    regions_of, caps = index.regions_of, index.region_caps
+    da = DeferredAcceptance(index)
+    capacities = da.capacities
+    load = dict.fromkeys(instance.hospitals, 0)
+    region_load = [0] * len(caps)
+    # Every region that has become overloaded, smallest index first; a region
+    # that a squeeze brought back under its cap is dropped when it surfaces.
+    overloaded: list[int] = []
+
+    def refresh(h: str) -> None:
+        delta = len(da.held[h]) - load[h]
+        load[h] += delta
+        for k in regions_of[h]:
+            region_load[k] += delta
+            if delta > 0 and region_load[k] > caps[k]:
+                heappush(overloaded, k)
+
+    for _ in range(sum(capacities.values()) + 1):
+        for h in da.gained:
+            refresh(h)
+        da.gained.clear()
+        while overloaded and region_load[overloaded[0]] <= caps[overloaded[0]]:
+            heappop(overloaded)
+        if not overloaded:
+            return da.matching()
+        region = instance.regions[overloaded[0]]
+        members = sorted(region.hospitals, key=hospital_index.__getitem__)
         if len(members) == 1:
             squeeze = members[0]
-        elif len(common[overloaded.hospitals]) == 1:
-            (r,) = common[overloaded.hospitals]
-            prefs = instance.resident_prefs[r]
+        elif len(common[region.hospitals]) == 1:
+            (r,) = common[region.hospitals]
             h_plus, h_minus = sorted(members, key=index.rrank[r].__getitem__)
             squeeze = h_minus if capacities[h_minus] > 0 else h_plus
         else:
@@ -259,7 +272,8 @@ def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) ->
             raise RuntimeError(
                 f"capacity reduction found region {members} overloaded with no capacity left"
             )
-        capacities[squeeze] -= 1
+        da.squeeze(squeeze)
+        refresh(squeeze)
     raise RuntimeError("capacity reduction failed to terminate")
 
 

@@ -88,6 +88,14 @@ def random_instance(
     return make_instance(res_rows, hosp_rows, regions)
 
 
+# ``random_instance`` arguments for acceptance criterion 3's tight draws: full
+# 2x2 lists with unit capacities and caps, where unsolvable blocks occur.
+TIGHT_2X2 = dict(
+    max_residents=2, max_hospitals=2, alpha=2, beta=2, gamma=2, disjoint=True,
+    edge_prob=1.0, min_capacity=1, max_capacity=1, min_region_cap=1, max_region_cap=1,
+)
+
+
 def random_matching_pairs(rng: random.Random, instance: Instance) -> list[tuple[str, str]]:
     """A random (not necessarily feasible) matching of ``instance``."""
     load = {h: 0 for h in instance.hospitals}

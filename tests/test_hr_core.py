@@ -10,7 +10,8 @@ import pytest
 
 from gen import random_instance
 from hrrc.exhaustive import strongly_stable_set
-from hrrc.hr_core import rgs, shrink
+from hrrc.hr_core import DeferredAcceptance, rgs, shrink
+from hrrc.index import InstanceIndex
 from hrrc.model import Assignment, example_g2, make_instance
 from hrrc.stability import blocking_pairs, is_matching
 
@@ -103,6 +104,27 @@ def test_capacity_decrement_moves_counts_by_at_most_one():
             for other in inst.hospitals:
                 if other != h:
                     assert len(after.residents_of(other)) >= len(before.residents_of(other))
+
+
+def test_squeezes_resume_to_the_rerun_matching():
+    rng = random.Random(23)
+    squeezes = 0
+    for _ in range(300):
+        inst = random_instance(rng, gamma=0)
+        da = DeferredAcceptance(InstanceIndex(inst))
+        assert da.matching() == rgs(inst)
+        while True:
+            open_hospitals = [h for h in inst.hospitals if da.capacities[h] > 0]
+            if not open_hospitals or rng.random() < 0.1:
+                break
+            before = {h: len(rs) for h, rs in da.held.items()}
+            da.gained.clear()
+            da.squeeze(rng.choice(open_hospitals))
+            squeezes += 1
+            assert da.matching() == rgs(replace(inst, capacities=dict(da.capacities)))
+            grew = {h for h, rs in da.held.items() if len(rs) > before[h]}
+            assert grew <= da.gained
+    assert squeezes > 1000
 
 
 def test_shrink_examples():

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from gen import random_instance
+from gen import TIGHT_2X2, random_instance
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
-from hrrc.hr_core import rgs
-from hrrc.model import Assignment, Region, example_g2, make_instance
+from hrrc.hr_core import DeferredAcceptance, rgs, shrink
+from hrrc.index import InstanceIndex
+from hrrc.model import Assignment, Region, example_g2, instance_from_doc, make_instance
 from hrrc.poly_solvers import (
+    _remove_blocks,
     dispatch,
     find_2x2_subinstances,
     solve_222_disjoint,
@@ -21,6 +25,7 @@ from hrrc.poly_solvers import (
     solve_res_len1,
 )
 from hrrc.stability import blocking_pairs, is_strongly_stable, strong_blocking_pairs
+from reference_capacity_loop import solve_2x2_free_by_reruns
 
 
 def g2_with_cap(cap):
@@ -195,6 +200,83 @@ def test_solve_2x2_free_rejects_blocks_and_big_caps():
     )
     with pytest.raises(ValueError, match="capacities"):
         solve_2x2_free(big)
+
+
+# --- the capacity loop against the rerun reference ---------------------------
+
+
+def block_free_rest(instance):
+    """What solve_222_disjoint hands solve_2x2_free: the shrunk block-free remainder."""
+    return shrink(_remove_blocks(instance, find_2x2_subinstances(instance)))
+
+
+def criterion_3_draws(seed, count):
+    """Instances drawn as acceptance criterion 3 draws them."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 3 == 2:
+            yield random_instance(rng, **TIGHT_2X2)
+        else:
+            yield random_instance(
+                rng, max_residents=6, max_hospitals=6, alpha=2, beta=2, gamma=2, disjoint=True
+            )
+
+
+def bench_disjoint_instances(sizes):
+    """Disjoint (2,2,2) instances from the benchmark's generator, one per size."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(5)
+    return [instance_from_doc(inputs.disjoint_doc(rng, n, False)) for n in sizes]
+
+
+def test_solve_2x2_free_equals_rerun_reference_on_criterion_3_draws():
+    squeezed = 0
+    for inst in criterion_3_draws(2024, 600):
+        rest = block_free_rest(inst)
+        expected = solve_2x2_free_by_reruns(rest)
+        assert solve_2x2_free(rest) == expected
+        squeezed += expected != rgs(rest, ignore_regions=True)
+    assert squeezed > 50, "the sweep should reach the capacity loop"
+
+
+def test_solve_2x2_free_equals_rerun_reference_at_bench_sizes():
+    for inst in bench_disjoint_instances((120, 250, 1000)):
+        rest = block_free_rest(inst)
+        assert solve_2x2_free(rest) == solve_2x2_free_by_reruns(rest)
+
+
+def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch):
+    import hrrc.poly_solvers as poly_solvers
+
+    states = []
+
+    class Recording(DeferredAcceptance):
+        __slots__ = ()
+
+        def __init__(self, index):
+            super().__init__(index)
+            states.append(self)
+
+    def no_rerun(*args, **kwargs):
+        raise AssertionError("the capacity loop reran deferred acceptance")
+
+    monkeypatch.setattr(poly_solvers, "DeferredAcceptance", Recording)
+    monkeypatch.setattr(poly_solvers, "rgs", no_rerun)
+    monkeypatch.setattr(InstanceIndex, "with_capacities", no_rerun)
+    instances = list(criterion_3_draws(77, 150)) + bench_disjoint_instances((250, 1000))
+    squeezes = 0
+    for inst in instances:
+        rest = block_free_rest(inst)
+        states.clear()
+        solve_2x2_free(rest)
+        (state,) = states
+        proposals = sum(state.next_choice.values())
+        assert proposals <= sum(len(prefs) for prefs in rest.resident_prefs.values())
+        squeezes += sum(rest.capacities.values()) - sum(state.capacities.values())
+    assert squeezes > 100, "the instances should exercise the capacity loop"
 
 
 # --- full disjoint (2,2,2) solver -------------------------------------------
@@ -382,8 +464,11 @@ def test_squeeze_without_capacity_raises(monkeypatch):
         hospitals=[("h1", 1, ["r1"])],
         regions=[({"h1"}, 0)],
     )
-    # Deferred acceptance that ignores the lowered capacity keeps the region
+    # A squeeze that lowers the capacity but rejects no one keeps the region
     # overloaded after its only hospital has been squeezed to zero.
-    monkeypatch.setattr(poly_solvers, "rgs", lambda *a, **k: Assignment.of([("r1", "h1")]))
+    def squeeze_without_rejecting(self, h):
+        self.capacities[h] -= 1
+
+    monkeypatch.setattr(poly_solvers.DeferredAcceptance, "squeeze", squeeze_without_rejecting)
     with pytest.raises(RuntimeError, match="no capacity left"):
         solve_2x2_free(inst)
