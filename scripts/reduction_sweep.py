@@ -4,7 +4,10 @@
 Samples small 2-positive/1-negative formulas, reduces each through all three
 target classes, and checks that brute-force satisfiability agrees with
 strongly-stable-matching existence; satisfiable cases are additionally pushed
-through the encode/decode witness maps.
+through the encode/decode witness maps.  Random draws are almost always
+satisfiable, so the sweep then adds the first unsatisfiable formula of every
+PPN formula on four variables, and exits non-zero if a target saw only one
+verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import NoReturn
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from gen import random_ppn_formula  # noqa: E402
+from gen import all_ppn_formulas, random_ppn_formula  # noqa: E402
 from hrrc import (  # noqa: E402
     ReductionVariant,
     decode_matching,
@@ -29,13 +32,33 @@ from hrrc import (  # noqa: E402
     reduce_ppn,
     sat_brute,
 )
-from hrrc.reductions import satisfies  # noqa: E402
+from hrrc.reductions import CnfFormula, satisfies  # noqa: E402
 
 VARIANTS = [ReductionVariant.PPN_223, ReductionVariant.PPN_232, ReductionVariant.PPN_322]
 
 
 def fail(message: str) -> NoReturn:
     raise SystemExit(f"round trip failed: {message}")
+
+
+def sweep(formula: CnfFormula, stats: dict) -> None:
+    """Check one formula's verdict and witnesses on every target; count the verdict."""
+    witness = sat_brute(formula)
+    for variant in VARIANTS:
+        instance, _table = reduce_ppn(formula, variant)
+        out = exists_strongly_stable(instance)
+        if out.is_found != (witness is not None):
+            fail(f"{variant.value} says {out.status} on {formula}, sat_brute {witness}")
+        if witness is None:
+            stats[variant]["unsat"] += 1
+            continue
+        stats[variant]["sat"] += 1
+        encoded = encode_assignment(formula, witness, variant)
+        if not is_strongly_stable(instance, encoded):
+            fail(f"{variant.value}: the encoded witness of {formula} is not strongly stable")
+        for matching in (encoded, out.matching):
+            if not satisfies(formula, decode_matching(formula, matching, variant)):
+                fail(f"{variant.value}: a matching of {formula} decodes to a non-model")
 
 
 def main() -> None:
@@ -49,30 +72,18 @@ def main() -> None:
     t0 = time.perf_counter()
     stats = {v: {"sat": 0, "unsat": 0} for v in VARIANTS}
     for _ in range(args.count):
-        formula = random_ppn_formula(rng, rng.randint(2, args.max_vars))
-        witness = sat_brute(formula)
-        for variant in VARIANTS:
-            instance, _table = reduce_ppn(formula, variant)
-            out = exists_strongly_stable(instance)
-            if out.is_found != (witness is not None):
-                fail(f"{variant.value} says {out.status} on {formula}, sat_brute {witness}")
-            if witness is None:
-                stats[variant]["unsat"] += 1
-                continue
-            stats[variant]["sat"] += 1
-            encoded = encode_assignment(formula, witness, variant)
-            if not is_strongly_stable(instance, encoded):
-                fail(f"{variant.value}: the encoded witness of {formula} is not strongly stable")
-            for matching in (encoded, out.matching):
-                if not satisfies(formula, decode_matching(formula, matching, variant)):
-                    fail(f"{variant.value}: a matching of {formula} decodes to a non-model")
+        sweep(random_ppn_formula(rng, rng.randint(2, args.max_vars)), stats)
+    unsatisfiable = next(f for f in all_ppn_formulas(4) if sat_brute(f) is None)
+    sweep(unsatisfiable, stats)
     dt = time.perf_counter() - t0
     for variant in VARIANTS:
         s = stats[variant]
         print(
-            f"{variant.value}: {args.count} formulas, verdicts agree "
+            f"{variant.value}: {args.count + 1} formulas, verdicts agree "
             f"({s['sat']} satisfiable, {s['unsat']} unsatisfiable)  [{dt:.2f}s total]"
         )
+    if any(0 in s.values() for s in stats.values()):
+        raise SystemExit("a target's sweep reached only one verdict; draw more formulas")
 
 
 if __name__ == "__main__":

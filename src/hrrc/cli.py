@@ -6,6 +6,12 @@ matching exists / not strongly stable / unsatisfiable), 2 for usage or input
 errors, for instances the solver cannot decide, and for internal failures
 (an exception the program did not expect is reported on one ``error:`` line
 and never read as a negative verdict).
+
+``main`` builds its argument parser on its first call and reuses it on every
+later call in the same process; building the subcommand tree costs far more
+than parsing one command line.  A one-shot ``hrrc`` process builds one parser
+as before, and importing this module builds none.  Callers that run ``main``
+many times in one process (scripts, tests, benchmark clients) build it once.
 """
 
 from __future__ import annotations
@@ -307,9 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first call; parsing does not mutate it."""
+    global _shared_parser
+    if _shared_parser is None:
+        _shared_parser = build_parser()
+    return _shared_parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # input errors, InstanceError and DimacsError included

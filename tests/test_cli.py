@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hrrc import cli
 from hrrc.cli import main
 from hrrc.model import example_g2, load_matching, save_instance, save_matching
 from hrrc.model import Assignment
@@ -287,3 +288,66 @@ def test_brute_force_decides_a_deep_instance(capsys, tmp_path):
     expected = Assignment.of((f"r{i}", f"h{i}") for i in range(n))
     assert out == "found\n" + save_matching(expected)
     assert err == ""
+
+
+@pytest.fixture()
+def parser_builds(monkeypatch):
+    """How many parsers ``main`` builds from here on, starting with none shared."""
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_shared_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+def test_main_builds_one_parser_per_process(capsys, g2_file, parser_builds):
+    for argv in (["classify", g2_file], ["solve", g2_file], ["brute", g2_file]):
+        run(capsys, *argv)
+    assert len(parser_builds) == 1
+    fresh = cli.build_parser()
+    assert fresh is not cli.build_parser() and fresh is not cli._parser()
+
+
+def test_reused_parser_leaks_no_option(capsys, tmp_path, g2_file, parser_builds):
+    from hrrc.model import make_instance
+
+    cap2 = _cap2_file(tmp_path)
+    code, out, _ = run(capsys, "solve", cap2, "--json")
+    assert code == 0 and json.loads(out)["status"] == "found"
+    code, out, _ = run(capsys, "solve", cap2)
+    expected = save_matching(Assignment.of([("r1", "h1"), ("r2", "h2")]))
+    assert (code, out) == (0, "found\n" + expected)
+
+    code, out, err = run(capsys, "brute", g2_file, "--limit", "2")
+    assert (code, out) == (2, "")
+    assert "above the brute-force cap of 2;" in err
+    code, out, err = run(capsys, "brute", g2_file)
+    assert (code, out, err) == (1, "none-exists\n", "")
+    wide = make_instance(
+        residents=[(f"r{i}", []) for i in range(7)], hospitals=[(f"h{i}", 1, []) for i in range(6)]
+    )
+    path = tmp_path / "wide.json"
+    path.write_text(save_instance(wide))
+    code, _, err = run(capsys, "brute", str(path))
+    assert code == 2
+    assert "instance has 13 agents, above the brute-force cap of 12;" in err
+    assert len(parser_builds) == 1
+
+
+def test_reused_parser_survives_a_usage_error(capsys, g2_file, parser_builds):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", g2_file, "--algorithm", "nope"])
+    assert exc.value.code == 2
+    first_err = capsys.readouterr().err
+    assert first_err.startswith("usage: hrrc solve ")
+    code, out, _ = run(capsys, "solve", g2_file)
+    assert (code, out) == (1, "none-exists\n")
+    with pytest.raises(SystemExit):
+        main(["solve", g2_file, "--algorithm", "nope"])
+    assert capsys.readouterr().err == first_err
+    assert len(parser_builds) == 1

@@ -360,3 +360,31 @@ def test_exhaustive_formula_families_are_all_satisfiable():
         assert formulas
         assert all(check_ppn(f) == [] for f in formulas)
         assert all(sat_brute(f) is not None for f in formulas)
+
+
+@pytest.fixture(scope="module")
+def first_unsatisfiable_ppn4():
+    unsatisfiable = [f for f in all_ppn_formulas(4) if sat_brute(f) is None]
+    assert len(unsatisfiable) == 15
+    return unsatisfiable[0]
+
+
+@pytest.mark.parametrize("variant", PPN_VARIANTS)
+def test_unsatisfiable_ppn_formula_reduces_to_none_exists(variant, first_unsatisfiable_ppn4):
+    instance, _table = reduce_ppn(first_unsatisfiable_ppn4, variant)
+    assert exists_strongly_stable(instance).status == "none-exists"
+
+
+def test_cli_brute_decides_an_unsatisfiable_reduction(capsys, tmp_path, first_unsatisfiable_ppn4):
+    from hrrc.cli import main
+
+    formula = first_unsatisfiable_ppn4
+    cnf = tmp_path / "unsat.cnf"
+    cnf.write_text(
+        f"p cnf {formula.num_vars} {len(formula.clauses)}\n"
+        + "".join(" ".join(map(str, c)) + " 0\n" for c in formula.clauses)
+    )
+    inst_path = tmp_path / "ppn322.json"
+    assert main(["reduce", str(cnf), "--target", "ppn-322", "--out", str(inst_path)]) == 0
+    assert main(["brute", str(inst_path), "--force"]) == 1
+    assert capsys.readouterr().out == "none-exists\n"
