@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from . import exhaustive, poly_solvers, reductions, stability
-from .index import InstanceIndex
 from .model import (
     Assignment,
     Instance,
@@ -56,19 +55,12 @@ def _write(path: str, text: str) -> None:
         raise InstanceError(f"cannot write {path}: {exc}") from exc
 
 
-def _load(path: str) -> tuple[Instance, InstanceIndex]:
-    """The instance in ``path`` and its index; ``load_instance`` validated it."""
-    instance = load_instance(_read(path))
-    return instance, InstanceIndex(instance)
-
-
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    instance, index = _load(args.instance)
-    cls = classify(instance, index=index)
+    cls = classify(load_instance(_read(args.instance)))
     if args.json:
         _emit_json(
             {"alpha": cls.alpha, "beta": cls.beta, "gamma": cls.gamma, "disjoint": cls.disjoint}
@@ -86,21 +78,16 @@ _ALGORITHMS = {
 }
 
 
-def _solve_outcome(
-    instance: Instance, index: InstanceIndex, args: argparse.Namespace
-) -> SolveOutcome:
+def _solve_outcome(instance: Instance, args: argparse.Namespace) -> SolveOutcome:
     name = args.algorithm
     if name == "auto":
-        return poly_solvers.dispatch(instance, brute_limit=args.brute_limit, index=index)
+        return poly_solvers.dispatch(instance, brute_limit=args.brute_limit)
     if name == "alg5":
-        return poly_solvers.solve_222_disjoint(instance, index=index)
+        return poly_solvers.solve_222_disjoint(instance)
     if name == "brute":
-        return exhaustive.exists_strongly_stable(instance, index=index)
+        return exhaustive.exists_strongly_stable(instance)
     solver = _ALGORITHMS[name]
-    matching = solver(instance, index=index)
-    return SolveOutcome.found(
-        poly_solvers.certified(instance, matching, solver.__name__, index=index)
-    )
+    return SolveOutcome.found(poly_solvers.certified(instance, solver(instance), solver.__name__))
 
 
 def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
@@ -128,14 +115,13 @@ def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    instance, index = _load(args.instance)
-    return _report_outcome(_solve_outcome(instance, index, args), args)
+    return _report_outcome(_solve_outcome(load_instance(_read(args.instance)), args), args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    instance, index = _load(args.instance)
+    instance = load_instance(_read(args.instance))
     matching = load_matching(_read(args.matching))
-    checked = stability.report(instance, matching, index=index)
+    checked = stability.report(instance, matching)
     if checked.violations:
         raise InstanceError("assignment is not a matching: " + "; ".join(checked.violations))
     feasible, stable = checked.feasible, checked.strongly_stable
@@ -170,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_brute(args: argparse.Namespace) -> int:
-    instance, index = _load(args.instance)
+    instance = load_instance(_read(args.instance))
     size = len(instance.residents) + len(instance.hospitals)
     if size > args.limit and not args.force:
         print(
@@ -181,7 +167,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     if args.all:
         matchings = sorted(
-            exhaustive.strongly_stable_set(instance, index=index), key=lambda m: m.sorted_pairs()
+            exhaustive.strongly_stable_set(instance), key=lambda m: m.sorted_pairs()
         )
         if args.json:
             _emit_json(
@@ -196,26 +182,32 @@ def _cmd_brute(args: argparse.Namespace) -> int:
             for m in matchings:
                 print(json.dumps(matching_to_doc(m)))
         return EXIT_OK if matchings else EXIT_NEGATIVE
-    return _report_outcome(exhaustive.exists_strongly_stable(instance, index=index), args)
+    return _report_outcome(exhaustive.exists_strongly_stable(instance), args)
 
 
-def _reduced_instance(args: argparse.Namespace) -> tuple[
-    reductions.CnfFormula, Instance, reductions.OccurrenceTable | None
+def _reduced_instance(formula: reductions.CnfFormula, args: argparse.Namespace) -> tuple[
+    reductions.CnfFormula,
+    dict[int, reductions.VariableOrigin] | None,
+    Instance,
+    reductions.OccurrenceTable | None,
 ]:
-    formula = reductions.parse_dimacs(_read(args.cnf))
+    """The formula the instance encodes, ``to_ppn``'s origins if it normalized
+    ``formula``, the instance and its occurrence table."""
     variant = reductions.ReductionVariant(args.target)
     if variant is reductions.ReductionVariant.ONE_IN_THREE_222:
         if args.normalize_ppn:
             raise InstanceError("--normalize-ppn applies only to ppn-* targets")
-        return formula, reductions.reduce_oneinthree(formula), None
+        return formula, None, reductions.reduce_oneinthree(formula), None
+    origins = None
     if args.normalize_ppn:
-        formula, _origins = reductions.to_ppn(formula)
+        formula, origins = reductions.to_ppn(formula)
     instance, table = reductions.reduce_ppn(formula, variant)
-    return formula, instance, table
+    return formula, origins, instance, table
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    _formula, instance, table = _reduced_instance(args)
+    formula = reductions.parse_dimacs(_read(args.cnf))
+    _formula, _origins, instance, table = _reduced_instance(formula, args)
     if args.json:
         payload = {"instance": instance_to_doc(instance)}
         if table is not None:
@@ -235,13 +227,16 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    formula, instance, _table = _reduced_instance(args)
+    original = reductions.parse_dimacs(_read(args.cnf))
+    formula, origins, instance, _table = _reduced_instance(original, args)
     matching = load_matching(_read(args.matching))
     if not stability.is_strongly_stable(instance, matching):
         print("matching is not strongly stable on the reduced instance", file=sys.stderr)
         return EXIT_NEGATIVE
     variant = reductions.ReductionVariant(args.target)
     assignment = reductions.decode_matching(formula, matching, variant)
+    if origins is not None:
+        assignment = reductions.from_ppn(assignment, origins, original.num_vars)
     if args.json:
         _emit_json({"assignment": {str(i): assignment[i] for i in sorted(assignment)}})
     else:

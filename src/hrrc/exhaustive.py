@@ -20,7 +20,6 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Iterator
 
-from .index import InstanceIndex, index_for
 from .model import Assignment, Instance, SolveOutcome
 from .stability import is_strongly_stable
 
@@ -41,11 +40,11 @@ class _Search:
     lists the hospitals whose pairs become final at resident ``i``.
     """
 
-    def __init__(self, instance: Instance, index: InstanceIndex | None):
-        self.index = index = index_for(instance, index)
+    def __init__(self, instance: Instance):
+        index = instance.index
         self.instance = instance
         self.residents = instance.residents
-        self.capacities = index.capacities
+        self.capacities = instance.capacities
         self.rrank = index.rrank
         self.hrank = index.hrank
         self.region_caps = index.region_caps
@@ -151,19 +150,16 @@ class _Search:
 
 
 def _certified(search: _Search, matching: Assignment) -> Assignment:
-    if not is_strongly_stable(search.instance, matching, index=search.index):
+    if not is_strongly_stable(search.instance, matching):
         raise RuntimeError("exhaustive search returned a matching that is not strongly stable")
     return matching
 
 
 def enumerate_feasible(
-    instance: Instance,
-    *,
-    warn_limit: int = DEFAULT_WARN_LIMIT,
-    index: InstanceIndex | None = None,
+    instance: Instance, *, warn_limit: int = DEFAULT_WARN_LIMIT
 ) -> Iterator[Assignment]:
     """Yield every feasible matching exactly once, in canonical order."""
-    for emitted, matching in enumerate(_Search(instance, index).leaves(), start=1):
+    for emitted, matching in enumerate(_Search(instance).leaves(), start=1):
         if emitted == warn_limit + 1:
             warnings.warn(
                 f"feasible-matching enumeration passed {warn_limit} matchings",
@@ -173,19 +169,15 @@ def enumerate_feasible(
         yield matching
 
 
-def strongly_stable_set(
-    instance: Instance, *, index: InstanceIndex | None = None
-) -> set[Assignment]:
+def strongly_stable_set(instance: Instance) -> set[Assignment]:
     """All strongly stable matchings: the leaves of the pruned walk, each certified."""
-    search = _Search(instance, index)
+    search = _Search(instance)
     return {_certified(search, m) for m in search.leaves(search.doomed)}
 
 
-def exists_strongly_stable(
-    instance: Instance, *, index: InstanceIndex | None = None
-) -> SolveOutcome:
+def exists_strongly_stable(instance: Instance) -> SolveOutcome:
     """Decide existence; a found matching is the canonically first one."""
-    search = _Search(instance, index)
+    search = _Search(instance)
     found = next(search.leaves(search.doomed), None)
     if found is None:
         return SolveOutcome.none_exists()

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from typing import Mapping
 
-from .index import InstanceIndex, index_for
 from .model import Assignment, Instance
 
 
 class DeferredAcceptance:
     """Resident-proposing deferred acceptance that resumes after a capacity cut.
 
-    Building the state runs deferred acceptance on ``index``'s capacities, with
-    regions set aside.  :meth:`squeeze` lowers one hospital's capacity by one;
-    the resident it rejects, if any, goes on proposing from where they stopped.
-    Proposal order does not change the resident-optimal stable matching
-    (McVitie & Wilson 1970) and a lower capacity only adds rejections, so the
-    state always holds the matching a fresh run on its capacities would give.
+    Building the state runs deferred acceptance on ``capacities`` (by default
+    the instance's own), with regions set aside.  :meth:`squeeze` lowers one
+    hospital's capacity by one; the resident it rejects, if any, goes on
+    proposing from where they stopped.  Proposal order does not change the
+    resident-optimal stable matching (McVitie & Wilson 1970) and a lower
+    capacity only adds rejections, so the state always holds the matching a
+    fresh run on its capacities would give.
 
     ``next_choice[r]`` is how far down its list ``r`` has proposed, ``held[h]``
     the residents ``h`` holds.  ``gained`` collects every hospital that accepted
@@ -26,11 +27,10 @@ class DeferredAcceptance:
 
     __slots__ = ("capacities", "next_choice", "held", "gained", "_prefs", "_hrank")
 
-    def __init__(self, index: InstanceIndex):
-        instance = index.instance
+    def __init__(self, instance: Instance, capacities: Mapping[str, int] | None = None):
         self._prefs = instance.resident_prefs
-        self._hrank = index.hrank
-        self.capacities = dict(index.capacities)
+        self._hrank = instance.index.hrank
+        self.capacities = dict(instance.capacities if capacities is None else capacities)
         self.next_choice = dict.fromkeys(instance.residents, 0)
         self.held: dict[str, list[str]] = {h: [] for h in instance.hospitals}
         self.gained: set[str] = set()
@@ -74,22 +74,24 @@ class DeferredAcceptance:
 
 
 def rgs(
-    instance: Instance, *, ignore_regions: bool = False, index: InstanceIndex | None = None
+    instance: Instance,
+    *,
+    ignore_regions: bool = False,
+    capacities: Mapping[str, int] | None = None,
 ) -> Assignment:
     """Resident-optimal stable matching of the underlying capacitated market.
 
     Regions play no role here; passing a region-bearing instance requires the
     explicit ``ignore_regions`` flag so call sites acknowledge that the caps
-    are being set aside.  The instance is validated unless its ``index`` is
-    passed.
+    are being set aside.  ``capacities``, when given, replaces the instance's
+    hospital capacities (each a non-negative integer).
     """
-    index = index_for(instance, index)
     if instance.regions and not ignore_regions:
         raise ValueError(
             "instance declares regions; pass ignore_regions=True to run plain "
             "deferred acceptance on it"
         )
-    return DeferredAcceptance(index).matching()
+    return DeferredAcceptance(instance, capacities).matching()
 
 
 def shrink(instance: Instance) -> Instance:

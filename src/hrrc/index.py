@@ -1,86 +1,125 @@
 """A compiled view of one instance: the lookup tables every layer shares.
 
-An :class:`InstanceIndex` is built once per public call, in time linear in
-the instance's size, and handed down explicitly to the functions that call
-needs.  Nothing is cached between calls.
-
-The view stands for a *valid* instance.  :func:`index_for` validates before
-building; the ``InstanceIndex`` constructor trusts its caller, for instances
-that :func:`hrrc.model.load_instance` or :func:`hrrc.model.require_valid`
-already accepted.  A function that receives an index skips validation.
+An :class:`InstanceIndex` is built in one pass, in time linear in the
+instance's size, and that pass is the instance's validation: it fills the
+tables and collects every violation as it goes.  Each instance compiles its
+own view on first use and keeps it (``Instance.index``, see
+:mod:`hrrc.model`), so every layer reads the same tables and no instance is
+validated twice.  The tables stand for a valid instance only.
 """
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
-from .model import Instance, require_valid
+if TYPE_CHECKING:
+    from .model import Instance
 
 
 class InstanceIndex:
-    """Declaration positions, rank tables, capacities, and region membership.
+    """Declaration positions, rank tables, and region membership.
 
     ``rrank[r][h]`` / ``hrank[h][r]`` is the position of ``h`` on ``r``'s list
     (of ``r`` on ``h``'s).  ``regions_of[h]`` lists, in declaration order, the
     indices into ``instance.regions`` of the regions containing ``h``;
-    ``region_caps[k]`` is region ``k``'s cap.  Treat the tables as read-only:
-    views made by :meth:`with_capacities` share them.
+    ``region_caps[k]`` is region ``k``'s cap.  ``violations`` holds one message
+    per broken instance invariant, in :func:`hrrc.model.validate`'s order; the
+    tables are meaningful only when it is empty.  Treat everything as
+    read-only.
     """
 
     __slots__ = (
-        "instance",
         "resident_pos",
         "hospital_pos",
         "rrank",
         "hrank",
-        "capacities",
         "regions_of",
         "region_caps",
+        "violations",
     )
 
     def __init__(self, instance: Instance):
-        self.instance = instance
-        self.resident_pos = {r: i for i, r in enumerate(instance.residents)}
-        self.hospital_pos = {h: i for i, h in enumerate(instance.hospitals)}
-        self.rrank = {
-            r: {h: i for i, h in enumerate(prefs)} for r, prefs in instance.resident_prefs.items()
+        out: list[str] = []
+        residents, hospitals = instance.residents, instance.hospitals
+        self.resident_pos = rpos = {r: i for i, r in enumerate(residents)}
+        self.hospital_pos = hpos = {h: i for i, h in enumerate(hospitals)}
+        if len(rpos) != len(residents):
+            out.append("duplicate resident ids in declaration")
+        if len(hpos) != len(hospitals):
+            out.append("duplicate hospital ids in declaration")
+        shared = rpos.keys() & hpos.keys()
+        if shared:
+            out.append(f"ids used on both sides: {sorted(shared)}")
+
+        resident_prefs, hospital_prefs = instance.resident_prefs, instance.hospital_prefs
+        capacities = instance.capacities
+        if resident_prefs.keys() != rpos.keys():
+            out.append("resident_prefs keys do not match declared residents")
+        if hospital_prefs.keys() != hpos.keys():
+            out.append("hospital_prefs keys do not match declared hospitals")
+        if capacities.keys() != hpos.keys():
+            out.append("capacities keys do not match declared hospitals")
+        for h in hospitals:
+            q = capacities.get(h)
+            if not isinstance(q, int) or isinstance(q, bool) or q < 0:
+                out.append(f"hospital {h!r} has invalid capacity {q!r}")
+
+        # Each side checks its entries against the other side's tables.
+        self.hrank = hrank = {
+            h: {r: i for i, r in enumerate(hospital_prefs.get(h, ()))} for h in hospitals
         }
-        self.hrank = {
-            h: {r: i for i, r in enumerate(prefs)} for h, prefs in instance.hospital_prefs.items()
-        }
-        self.capacities = instance.capacities
-        regions_of: dict[str, list[int]] = {h: [] for h in instance.hospitals}
+        self.rrank = rrank = {}
+        resident_mutual: list[str] = []
+        for r in residents:
+            prefs = resident_prefs.get(r, ())
+            rank = rrank[r] = {h: i for i, h in enumerate(prefs)}
+            if len(rank) != len(prefs):
+                out.append(f"resident {r!r} has duplicate entries in preference list")
+            for h in prefs:
+                listed = hrank.get(h)
+                if listed is None:
+                    out.append(f"resident {r!r} lists unknown hospital {h!r}")
+                elif r not in listed:
+                    resident_mutual.append(
+                        f"resident {r!r} lists {h!r} but {h!r} does not list {r!r}"
+                    )
+        hospital_mutual: list[str] = []
+        for h in hospitals:
+            prefs = hospital_prefs.get(h, ())
+            if len(hrank[h]) != len(prefs):
+                out.append(f"hospital {h!r} has duplicate entries in preference list")
+            for r in prefs:
+                listed = rrank.get(r)
+                if listed is None:
+                    out.append(f"hospital {h!r} lists unknown resident {r!r}")
+                elif h not in listed:
+                    hospital_mutual.append(
+                        f"hospital {h!r} lists {r!r} but {r!r} does not list {h!r}"
+                    )
+        out += resident_mutual
+        out += hospital_mutual
+
+        self.regions_of = regions_of = dict.fromkeys(hospitals, ())
+        seen_sets: dict[frozenset[str], int] = {}
         for k, reg in enumerate(instance.regions):
-            for h in reg.hospitals:
-                regions_of.setdefault(h, []).append(k)
-        self.regions_of = {h: tuple(ks) for h, ks in regions_of.items()}
+            members = reg.hospitals
+            if not members:
+                out.append("region with empty hospital set")
+                continue
+            if hpos.keys() >= members:
+                for h in members:
+                    regions_of[h] += (k,)
+            else:
+                unknown = sorted(h for h in members if h not in hpos)
+                out.append(f"region {sorted(members)} contains unknown hospitals {unknown}")
+            cap = reg.cap
+            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+                out.append(f"region {sorted(members)} has invalid cap {cap!r}")
+            if members in seen_sets:
+                out.append(
+                    f"duplicate region {sorted(members)} (caps {seen_sets[members]} and {cap})"
+                )
+            else:
+                seen_sets[members] = cap
         self.region_caps = tuple(reg.cap for reg in instance.regions)
-
-    def with_capacities(self, capacities: dict[str, int]) -> "InstanceIndex":
-        """The view of the same instance with other hospital capacities.
-
-        Shares every table but the capacities; its ``instance`` is the
-        correspondingly replaced instance.  Capacities must be non-negative.
-        """
-        view = copy(self)
-        view.instance = replace(self.instance, capacities=capacities)
-        view.capacities = capacities
-        return view
-
-
-def index_for(
-    instance: Instance, index: InstanceIndex | None = None, *, validate: bool = True
-) -> InstanceIndex:
-    """``index`` after checking it was built from ``instance``, else a new one.
-
-    A new index is built after validating ``instance`` unless ``validate`` is
-    false.
-    """
-    if index is None:
-        if validate:
-            require_valid(instance)
-        return InstanceIndex(instance)
-    if index.instance is not instance:
-        raise ValueError("the index was built from a different instance")
-    return index
+        self.violations = out

@@ -4,7 +4,10 @@ An instance couples residents and hospitals through strict mutual preference
 lists, gives each hospital a capacity, and optionally groups hospitals into
 regions, each carrying a cap on the total number of residents assigned inside
 the group.  Instances are treated as immutable values: every operation in
-this package is a pure function over them.
+this package is a pure function over them.  Each instance compiles its
+:class:`~hrrc.index.InstanceIndex` on first use and keeps it, so an instance
+(its dicts included) must not be mutated after first use; build a new one,
+for example with :func:`dataclasses.replace`, which compiles afresh.
 
 Document formats (UTF-8 JSON):
 
@@ -25,11 +28,11 @@ Document formats (UTF-8 JSON):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Sequence
 
-if TYPE_CHECKING:
-    from .index import InstanceIndex
+from .index import InstanceIndex
 
 
 class InstanceError(ValueError):
@@ -63,6 +66,21 @@ class Instance:
 
     def capacity(self, hospital: str) -> int:
         return self.capacities[hospital]
+
+    @cached_property
+    def _compiled(self) -> InstanceIndex:
+        return InstanceIndex(self)
+
+    @cached_property
+    def index(self) -> InstanceIndex:
+        """The compiled view every layer reads, built and validated on first use.
+
+        Raises :class:`InstanceError` listing every violation if the instance
+        is invalid.  The view is kept outside the dataclass fields, so
+        equality and :func:`dataclasses.replace` ignore it.
+        """
+        require_valid(self)
+        return self._compiled
 
 
 @dataclass(frozen=True)
@@ -170,81 +188,10 @@ def validate(instance: Instance) -> list[str]:
     """Check every instance invariant; return one message per violation.
 
     Violations are data, not errors: an empty report means the instance is
-    valid.  Use :func:`require_valid` to raise instead.
+    valid.  Use :func:`require_valid` to raise instead.  The check is the
+    pass that compiles the instance's index, so it runs once per instance.
     """
-    out: list[str] = []
-    residents, hospitals = instance.residents, instance.hospitals
-    rset, hset = set(residents), set(hospitals)
-
-    if len(rset) != len(residents):
-        out.append("duplicate resident ids in declaration")
-    if len(hset) != len(hospitals):
-        out.append("duplicate hospital ids in declaration")
-    shared = rset & hset
-    if shared:
-        out.append(f"ids used on both sides: {sorted(shared)}")
-
-    if set(instance.resident_prefs) != rset:
-        out.append("resident_prefs keys do not match declared residents")
-    if set(instance.hospital_prefs) != hset:
-        out.append("hospital_prefs keys do not match declared hospitals")
-    if set(instance.capacities) != hset:
-        out.append("capacities keys do not match declared hospitals")
-
-    for h in hospitals:
-        q = instance.capacities.get(h)
-        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-            out.append(f"hospital {h!r} has invalid capacity {q!r}")
-
-    # Each agent's list as a set, for the duplicate and mutuality checks.
-    racc: dict[str, set[str]] = {}
-    hacc: dict[str, set[str]] = {}
-    for r in residents:
-        prefs = instance.resident_prefs.get(r, ())
-        racc[r] = set(prefs)
-        if len(racc[r]) != len(prefs):
-            out.append(f"resident {r!r} has duplicate entries in preference list")
-        for h in prefs:
-            if h not in hset:
-                out.append(f"resident {r!r} lists unknown hospital {h!r}")
-    for h in hospitals:
-        prefs = instance.hospital_prefs.get(h, ())
-        hacc[h] = set(prefs)
-        if len(hacc[h]) != len(prefs):
-            out.append(f"hospital {h!r} has duplicate entries in preference list")
-        for r in prefs:
-            if r not in rset:
-                out.append(f"hospital {h!r} lists unknown resident {r!r}")
-
-    # Mutual acceptability, both directions.
-    for r in residents:
-        for h in instance.resident_prefs.get(r, ()):
-            if h in hset and r not in hacc[h]:
-                out.append(f"resident {r!r} lists {h!r} but {h!r} does not list {r!r}")
-    for h in hospitals:
-        for r in instance.hospital_prefs.get(h, ()):
-            if r in rset and h not in racc[r]:
-                out.append(f"hospital {h!r} lists {r!r} but {r!r} does not list {h!r}")
-
-    seen_sets: dict[frozenset[str], int] = {}
-    for reg in instance.regions:
-        if not reg.hospitals:
-            out.append("region with empty hospital set")
-            continue
-        unknown = reg.hospitals - hset
-        if unknown:
-            out.append(f"region {sorted(reg.hospitals)} contains unknown hospitals {sorted(unknown)}")
-        if not isinstance(reg.cap, int) or isinstance(reg.cap, bool) or reg.cap < 0:
-            out.append(f"region {sorted(reg.hospitals)} has invalid cap {reg.cap!r}")
-        if reg.hospitals in seen_sets:
-            out.append(
-                f"duplicate region {sorted(reg.hospitals)} "
-                f"(caps {seen_sets[reg.hospitals]} and {reg.cap})"
-            )
-        else:
-            seen_sets[reg.hospitals] = reg.cap
-
-    return out
+    return list(instance._compiled.violations)
 
 
 def require_valid(instance: Instance) -> None:
@@ -254,15 +201,9 @@ def require_valid(instance: Instance) -> None:
         raise InstanceError("invalid instance: " + "; ".join(violations))
 
 
-def classify(instance: Instance, *, index: "InstanceIndex | None" = None) -> InstanceClass:
-    """Compute the exact (alpha, beta, gamma, disjoint) parameters.
-
-    The instance is validated unless its index is passed.
-    """
-    if index is None:
-        require_valid(instance)
-    elif index.instance is not instance:
-        raise ValueError("the index was built from a different instance")
+def classify(instance: Instance) -> InstanceClass:
+    """Compute the exact (alpha, beta, gamma, disjoint) parameters of a valid instance."""
+    require_valid(instance)
     alpha = max((len(p) for p in instance.resident_prefs.values()), default=0)
     beta = max((len(p) for p in instance.hospital_prefs.values()), default=0)
     gamma = max((len(reg.hospitals) for reg in instance.regions), default=0)

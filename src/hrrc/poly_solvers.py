@@ -18,12 +18,10 @@ falls back to exhaustive search on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable
 
 from .exhaustive import exists_strongly_stable
 from .hr_core import DeferredAcceptance, rgs, shrink
-from .index import InstanceIndex, index_for
 from .model import (
     Assignment,
     Instance,
@@ -51,45 +49,41 @@ class SubInstance2x2:
     region: Region
 
 
-def certified(
-    instance: Instance, matching: Assignment, solver: str, *, index: InstanceIndex | None = None
-) -> Assignment:
+def certified(instance: Instance, matching: Assignment, solver: str) -> Assignment:
     """``matching``, once the checker confirms it is strongly stable.
 
     Raises :class:`RuntimeError` naming ``solver`` otherwise: a solver
     returned a wrong answer.
     """
-    if not is_strongly_stable(instance, matching, index=index):
+    if not is_strongly_stable(instance, matching):
         raise RuntimeError(f"{solver} produced a matching that is not strongly stable")
     return matching
 
 
-def solve_regions_size1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
+def solve_regions_size1(instance: Instance) -> Assignment:
     """Solve instances whose regions are all singletons.
 
     Folding each singleton cap into its hospital's capacity reduces the
     problem to plain deferred acceptance.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     if cls.gamma > 1:
         raise ValueError(f"solver requires regions of size at most 1, got gamma={cls.gamma}")
     capacities = dict(instance.capacities)
     for reg in instance.regions:
         (h,) = reg.hospitals
         capacities[h] = min(capacities[h], reg.cap)
-    trimmed = index.with_capacities(capacities)
-    return rgs(trimmed.instance, ignore_regions=True, index=trimmed)
+    return rgs(instance, ignore_regions=True, capacities=capacities)
 
 
-def _greedy(index: InstanceIndex, candidates: Iterable[tuple[str, str]]) -> Assignment:
+def _greedy(instance: Instance, candidates: Iterable[tuple[str, str]]) -> Assignment:
     """Take each candidate (r, h), in order, while r is free and h and its regions have room."""
-    hospital_load = dict.fromkeys(index.instance.hospitals, 0)
-    region_load = [0] * len(index.region_caps)
-    caps, regions_of = index.region_caps, index.regions_of
+    hospital_load = dict.fromkeys(instance.hospitals, 0)
+    caps, regions_of = instance.index.region_caps, instance.index.regions_of
+    region_load = [0] * len(caps)
     taken: dict[str, str] = {}
     for r, h in candidates:
-        if r in taken or hospital_load[h] >= index.capacities[h]:
+        if r in taken or hospital_load[h] >= instance.capacities[h]:
             continue
         if any(region_load[k] >= caps[k] for k in regions_of[h]):
             continue
@@ -100,46 +94,41 @@ def _greedy(index: InstanceIndex, candidates: Iterable[tuple[str, str]]) -> Assi
     return Assignment.of(taken.items())
 
 
-def solve_res_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
+def solve_res_len1(instance: Instance) -> Assignment:
     """Solve instances where every resident lists at most one hospital.
 
     Each hospital greedily takes the best residents on its list while its own
     capacity and every region containing it stay strictly under their caps.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     if cls.alpha > 1:
         raise ValueError(f"solver requires resident lists of length at most 1, got alpha={cls.alpha}")
     prefs = instance.hospital_prefs
-    return _greedy(index, ((r, h) for h in instance.hospitals for r in prefs[h]))
+    return _greedy(instance, ((r, h) for h in instance.hospitals for r in prefs[h]))
 
 
-def solve_hosp_len1(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
+def solve_hosp_len1(instance: Instance) -> Assignment:
     """Solve instances where every hospital lists at most one resident.
 
     Each resident takes the best hospital on its list whose capacity and
     containing regions all have room.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     if cls.beta > 1:
         raise ValueError(f"solver requires hospital lists of length at most 1, got beta={cls.beta}")
     prefs = instance.resident_prefs
-    return _greedy(index, ((r, h) for r in instance.residents for h in prefs[r]))
+    return _greedy(instance, ((r, h) for r in instance.residents for h in prefs[r]))
 
 
-def find_2x2_subinstances(
-    instance: Instance, *, index: InstanceIndex | None = None
-) -> list[SubInstance2x2]:
+def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
     """Locate every independent 2x2 block, in region declaration order.
 
     A size-2 region forms a block exactly when two residents are acceptable
     to both member hospitals.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
-    if not cls.disjoint:
+    if not classify(instance).disjoint:
         raise ValueError("2x2 block extraction requires disjoint regions")
+    index = instance.index
     hospital_index = index.hospital_pos
     resident_index = index.resident_pos
     out = []
@@ -198,19 +187,38 @@ def _remove_blocks(instance: Instance, subs: list[SubInstance2x2]) -> Instance:
     return rest
 
 
-def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) -> Assignment:
+def solve_2x2_free(instance: Instance) -> Assignment:
     """Solve disjoint (2,2,2) instances that contain no 2x2 block.
 
-    Runs deferred acceptance ignoring regions, then repeatedly picks the first
-    overloaded region, lowers the capacity of one of its hospitals, and
-    resumes deferred acceptance from the rejection that forces, until every
-    cap holds.  The hospital to squeeze is the region's sole member, or (when
-    one resident is acceptable to both members) that resident's
-    less-preferred member while it still has capacity, or any member with
-    capacity left.
+    Runs deferred acceptance ignoring regions, then, while some region is
+    over its cap, lowers the capacity of one of that region's hospitals and
+    resumes deferred acceptance from the rejection that forces.  The hospital
+    to squeeze is the region's sole member, or (when one resident is
+    acceptable to both members) that resident's less-preferred member while
+    it still has capacity, or the first member with capacity left.
+
+    The order in which overloaded regions are squeezed does not change the
+    capacities or the matching reached:
+
+    1. On capacities ``c``, deferred acceptance gives one matching in any
+       proposal order (McVitie & Wilson 1970), and hospital ``h`` holds
+       ``min(c[h], |P_h|)`` residents, ``P_h`` being the residents that ever
+       proposed to it.  A lower capacity only adds rejections, so every
+       ``P_h`` grows: a squeeze never lowers another hospital's load.
+    2. Regions are disjoint and the squeeze rule reads only the capacities of
+       the region's own members, so after ``n_R`` squeezes of region ``R``
+       its members' capacities are fixed whatever happened elsewhere.  The
+       state is a function of the vector ``n`` of squeeze counts.
+    3. By 1 and 2, a region overloaded at ``n`` stays overloaded at every
+       ``n' >= n`` with ``n'_R = n_R``.
+    4. Let some run stop at ``m``, where no region is overloaded.  If a step
+       of any run starts at ``n <= m`` and squeezes ``R``, then ``R`` is
+       overloaded at ``n``, so ``n_R < m_R`` by 3 and the step stays ``<= m``.
+       Every run therefore stops below ``m``, and by symmetry at ``m``.
+
+    Each squeeze lowers the total capacity, so the loop ends.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     if not cls.disjoint:
         raise ValueError("solver requires disjoint regions")
     if cls.alpha > 2:
@@ -231,14 +239,15 @@ def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) ->
                     "extract its 2x2 block first"
                 )
 
+    index = instance.index
     hospital_index = index.hospital_pos
     regions_of, caps = index.regions_of, index.region_caps
-    da = DeferredAcceptance(index)
+    da = DeferredAcceptance(instance)
     capacities = da.capacities
     load = dict.fromkeys(instance.hospitals, 0)
     region_load = [0] * len(caps)
-    # Every region that has become overloaded, smallest index first; a region
-    # that a squeeze brought back under its cap is dropped when it surfaces.
+    # Regions that became overloaded, in any order (see the docstring); a
+    # region a squeeze brought back under its cap is dropped when it surfaces.
     overloaded: list[int] = []
 
     def refresh(h: str) -> None:
@@ -247,17 +256,17 @@ def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) ->
         for k in regions_of[h]:
             region_load[k] += delta
             if delta > 0 and region_load[k] > caps[k]:
-                heappush(overloaded, k)
+                overloaded.append(k)
 
     for _ in range(sum(capacities.values()) + 1):
         for h in da.gained:
             refresh(h)
         da.gained.clear()
-        while overloaded and region_load[overloaded[0]] <= caps[overloaded[0]]:
-            heappop(overloaded)
+        while overloaded and region_load[overloaded[-1]] <= caps[overloaded[-1]]:
+            overloaded.pop()
         if not overloaded:
             return da.matching()
-        region = instance.regions[overloaded[0]]
+        region = instance.regions[overloaded[-1]]
         members = sorted(region.hospitals, key=hospital_index.__getitem__)
         if len(members) == 1:
             squeeze = members[0]
@@ -277,9 +286,7 @@ def solve_2x2_free(instance: Instance, *, index: InstanceIndex | None = None) ->
     raise RuntimeError("capacity reduction failed to terminate")
 
 
-def solve_222_disjoint(
-    instance: Instance, *, index: InstanceIndex | None = None
-) -> SolveOutcome:
+def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     """Decide disjoint (2,2,2) instances.
 
     Every 2x2 block is independent of the rest, so the instance has a
@@ -288,25 +295,19 @@ def solve_222_disjoint(
     block takes its canonically first strongly stable matching, found by
     exhaustive search over its at most nine assignments.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     if not (cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint):
         raise ValueError(f"solver requires a disjoint (2,2,2) instance, got {cls}")
-    subs = find_2x2_subinstances(instance, index=index)
+    subs = find_2x2_subinstances(instance)
     block_pairs: list[tuple[str, str]] = []
     for sub in subs:
-        # A block restricts a valid instance to agents that list only each other.
-        block = _block_instance(instance, sub)
-        solved = exists_strongly_stable(block, index=InstanceIndex(block))
+        solved = exists_strongly_stable(_block_instance(instance, sub))
         if not solved.is_found:
             return SolveOutcome.none_exists()
         block_pairs.extend(solved.matching.pairs)
-    # The remainder of a valid instance is valid once its blocks are closed,
-    # which _remove_blocks checks, and shrinking keeps it valid.
-    rest = shrink(_remove_blocks(instance, subs))
-    core = solve_2x2_free(rest, index=InstanceIndex(rest))
+    core = solve_2x2_free(shrink(_remove_blocks(instance, subs)))
     matching = Assignment.of(block_pairs + list(core.pairs))
-    return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint", index=index))
+    return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint"))
 
 
 def _hardness_note(cls: InstanceClass) -> str:
@@ -324,12 +325,7 @@ def _hardness_note(cls: InstanceClass) -> str:
     )
 
 
-def dispatch(
-    instance: Instance,
-    brute_limit: int = DEFAULT_BRUTE_LIMIT,
-    *,
-    index: InstanceIndex | None = None,
-) -> SolveOutcome:
+def dispatch(instance: Instance, brute_limit: int = DEFAULT_BRUTE_LIMIT) -> SolveOutcome:
     """Route an instance to the first applicable solver.
 
     Priority: singleton regions, unit resident lists, unit hospital lists,
@@ -337,20 +333,19 @@ def dispatch(
     ``brute_limit`` agents in total.  A found matching is always certified
     strongly stable.
     """
-    index = index_for(instance, index)
-    cls = classify(instance, index=index)
+    cls = classify(instance)
     for applies, solver in (
         (cls.gamma <= 1, solve_regions_size1),
         (cls.alpha <= 1, solve_res_len1),
         (cls.beta <= 1, solve_hosp_len1),
     ):
         if applies:
-            matching = solver(instance, index=index)
-            return SolveOutcome.found(certified(instance, matching, solver.__name__, index=index))
+            matching = solver(instance)
+            return SolveOutcome.found(certified(instance, matching, solver.__name__))
     if cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint:
-        return solve_222_disjoint(instance, index=index)
+        return solve_222_disjoint(instance)
     if len(instance.residents) + len(instance.hospitals) <= brute_limit:
-        return exists_strongly_stable(instance, index=index)
+        return exists_strongly_stable(instance)
     return SolveOutcome.unknown(
         _hardness_note(cls)
         + f"; instance has {len(instance.residents) + len(instance.hospitals)} agents, "

@@ -274,6 +274,22 @@ def to_ppn(formula: CnfFormula) -> tuple[CnfFormula, dict[int, VariableOrigin]]:
     return result, origins
 
 
+def from_ppn(
+    assignment: SatAssignment, origins: dict[int, VariableOrigin], num_vars: int
+) -> SatAssignment:
+    """Map an assignment of ``to_ppn``'s formula back to the ``num_vars`` original variables.
+
+    Each variable takes its first copy's value, inverted when that copy was
+    flipped; padding variables are dropped, and a variable that occurs in no
+    clause reads false.
+    """
+    out = dict.fromkeys(range(1, num_vars + 1), False)
+    for fresh, origin in origins.items():
+        if origin.source is not None and origin.occurrence == 1:
+            out[origin.source] = assignment[fresh] != origin.flipped
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Occurrence bookkeeping for PPN formulas
 

@@ -13,8 +13,8 @@ hospital's worst assignee, and each region's load.  With it a check costs
 time linear in the instance's size plus the size of its output: blocking
 pairs come from each resident's better prefix alone, a witness's displaced
 resident is its hospital's worst assignee, and a move's feasibility looks
-only at the regions it adds load to.  Pass the instance's index to skip
-building it; the instance is not validated here.
+only at the regions it adds load to.  An invalid instance raises
+:class:`~hrrc.model.InstanceError` when its index is compiled.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .index import InstanceIndex, index_for
 from .model import Assignment, Instance
 
 KIND_BP = "BP"
@@ -98,11 +97,14 @@ class _MatchingState:
     inside region ``k``.
     """
 
-    __slots__ = ("index", "hospital_of", "assignees", "worst", "worst_rank", "region_load")
+    __slots__ = (
+        "instance", "index", "hospital_of", "assignees", "worst", "worst_rank", "region_load"
+    )
 
-    def __init__(self, index: InstanceIndex, hospital_of: dict[str, str],
+    def __init__(self, instance: Instance, hospital_of: dict[str, str],
                  assignees: dict[str, list[str]]):
-        self.index = index
+        self.instance = instance
+        self.index = index = instance.index
         self.hospital_of = hospital_of
         self.assignees = assignees
         self.worst: dict[str, str] = {}
@@ -125,9 +127,9 @@ class _MatchingState:
         return all(load <= cap for load, cap in zip(self.region_load, self.index.region_caps))
 
 
-def _read(index: InstanceIndex, assignment: Assignment) -> tuple[_MatchingState | None, list[str]]:
+def _read(instance: Instance, assignment: Assignment) -> tuple[_MatchingState | None, list[str]]:
     """The matching state, or None and the violations if not a matching."""
-    instance = index.instance
+    index = instance.index
     hospital_of: dict[str, str] = {}
     assignees: dict[str, list[str]] = {h: [] for h in instance.hospitals}
     clean = True
@@ -139,9 +141,9 @@ def _read(index: InstanceIndex, assignment: Assignment) -> tuple[_MatchingState 
         if held is not None:
             held.append(r)  # every pair at a known hospital counts toward its load
         hospital_of[r] = h
-    capacities = index.capacities
+    capacities = instance.capacities
     if clean and all(len(rs) <= capacities[h] for h, rs in assignees.items()):
-        return _MatchingState(index, hospital_of, assignees), []
+        return _MatchingState(instance, hospital_of, assignees), []
     return None, _violations(instance, assignment, assignees)
 
 
@@ -167,8 +169,8 @@ def _violations(
     return out
 
 
-def _state(instance: Instance, matching: Assignment, index: InstanceIndex | None) -> _MatchingState:
-    state, violations = _read(index_for(instance, index, validate=False), matching)
+def _state(instance: Instance, matching: Assignment) -> _MatchingState:
+    state, violations = _read(instance, matching)
     if state is None:
         raise ValueError("not a matching: " + "; ".join(violations))
     return state
@@ -176,9 +178,8 @@ def _state(instance: Instance, matching: Assignment, index: InstanceIndex | None
 
 def _blocking(state: _MatchingState) -> Iterator[tuple[str, str]]:
     """Blocking pairs in (resident-declaration, hospital-declaration) order."""
-    index = state.index
-    instance = index.instance
-    hospital_pos, hrank, capacities = index.hospital_pos, index.hrank, index.capacities
+    index, instance = state.index, state.instance
+    hospital_pos, hrank, capacities = index.hospital_pos, index.hrank, instance.capacities
     hospital_of, assignees, worst_rank = state.hospital_of, state.assignees, state.worst_rank
     for r in instance.residents:
         prefs = instance.resident_prefs[r]
@@ -216,17 +217,13 @@ def _witnesses(
             yield BlockingWitness(r, h, KIND_SBP, move_feasible=move_ok, displaced=displaced)
 
 
-def matching_violations(
-    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
-) -> list[str]:
+def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:
     """Why ``assignment`` is not a matching of ``instance`` (empty if it is)."""
-    return _read(index_for(instance, index, validate=False), assignment)[1]
+    return _read(instance, assignment)[1]
 
 
-def is_matching(
-    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
-) -> bool:
-    return not matching_violations(instance, assignment, index=index)
+def is_matching(instance: Instance, assignment: Assignment) -> bool:
+    return not matching_violations(instance, assignment)
 
 
 def region_load(instance: Instance, assignment: Assignment, region: Iterable[str]) -> int:
@@ -237,45 +234,35 @@ def region_load(instance: Instance, assignment: Assignment, region: Iterable[str
     return len({r for r, h in assignment.pairs if h in members})
 
 
-def is_feasible(
-    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
-) -> bool:
+def is_feasible(instance: Instance, matching: Assignment) -> bool:
     """Whether every regional cap holds.  Rejects non-matching assignments."""
-    return _state(instance, matching, index).feasible
+    return _state(instance, matching).feasible
 
 
-def blocking_pairs(
-    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
-) -> list[tuple[str, str]]:
+def blocking_pairs(instance: Instance, matching: Assignment) -> list[tuple[str, str]]:
     """All blocking pairs, in (resident-declaration, hospital-declaration) order."""
-    return list(_blocking(_state(instance, matching, index)))
+    return list(_blocking(_state(instance, matching)))
 
 
-def strong_blocking_pairs(
-    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
-) -> list[BlockingWitness]:
+def strong_blocking_pairs(instance: Instance, matching: Assignment) -> list[BlockingWitness]:
     """Witnesses for every strong blocking pair of a feasible matching."""
-    state = _state(instance, matching, index)
+    state = _state(instance, matching)
     if not state.feasible:
         raise ValueError("strong blocking pairs are defined only for feasible matchings")
     return list(_witnesses(state, _blocking(state)))
 
 
-def is_strongly_stable(
-    instance: Instance, matching: Assignment, *, index: InstanceIndex | None = None
-) -> bool:
+def is_strongly_stable(instance: Instance, matching: Assignment) -> bool:
     """Whether ``matching`` is feasible and admits no strong blocking pair."""
-    state = _state(instance, matching, index)
+    state = _state(instance, matching)
     if not state.feasible:
         return False
     return next(_witnesses(state, _blocking(state)), None) is None
 
 
-def report(
-    instance: Instance, assignment: Assignment, *, index: InstanceIndex | None = None
-) -> StabilityReport:
+def report(instance: Instance, assignment: Assignment) -> StabilityReport:
     """Violations, feasibility, blocking and strong blocking pairs, in one pass."""
-    state, violations = _read(index_for(instance, index, validate=False), assignment)
+    state, violations = _read(instance, assignment)
     if state is None:
         return StabilityReport(violations, False, [], [])
     bps = list(_blocking(state))

@@ -6,18 +6,24 @@ from scratch on the lowered capacities and recounts every region's load.  It
 costs one full deferred-acceptance pass per decrement, but each step is
 plainly what the squeeze rule says, which is what a differential test needs.
 It assumes a valid 2x2-free disjoint (2,2,2) instance with capacities of at
-most 2, and applies the same squeeze rule as the package.
+most 2, and applies the same squeeze rule as the package.  ``choose`` picks
+the region to squeeze among the overloaded ones, listed in declaration order;
+the first one by default.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from hrrc.hr_core import rgs
-from hrrc.index import InstanceIndex
-from hrrc.model import Assignment, Instance, common_residents
+from hrrc.model import Assignment, Instance, Region, common_residents
 
 
-def solve_2x2_free_by_reruns(instance: Instance) -> Assignment:
-    index = InstanceIndex(instance)
+def squeeze_by_reruns(
+    instance: Instance, choose: Callable[[list[Region]], Region] = lambda regions: regions[0]
+) -> tuple[dict[str, int], Assignment]:
+    """The capacities the loop ends with, and the matching."""
+    index = instance.index
     common = {
         reg.hospitals: common_residents(instance, reg.hospitals)
         for reg in instance.regions
@@ -25,17 +31,15 @@ def solve_2x2_free_by_reruns(instance: Instance) -> Assignment:
     }
     capacities = dict(instance.capacities)
     for _ in range(sum(capacities.values()) + 1):
-        current = index.with_capacities(dict(capacities))
-        matching = rgs(current.instance, ignore_regions=True, index=current)
+        matching = rgs(instance, ignore_regions=True, capacities=capacities)
         region_load = [0] * len(instance.regions)
         for _r, h in matching.pairs:
             for k in index.regions_of[h]:
                 region_load[k] += 1
-        overloaded = next(
-            (reg for reg, load in zip(instance.regions, region_load) if load > reg.cap), None
-        )
-        if overloaded is None:
-            return matching
+        candidates = [reg for reg, load in zip(instance.regions, region_load) if load > reg.cap]
+        if not candidates:
+            return capacities, matching
+        overloaded = choose(candidates)
         members = sorted(overloaded.hospitals, key=index.hospital_pos.__getitem__)
         if len(members) == 1:
             squeeze = members[0]
@@ -49,3 +53,7 @@ def solve_2x2_free_by_reruns(instance: Instance) -> Assignment:
             raise RuntimeError("the reference loop found an overloaded region with no capacity left")
         capacities[squeeze] -= 1
     raise RuntimeError("the reference loop failed to terminate")
+
+
+def solve_2x2_free_by_reruns(instance: Instance) -> Assignment:
+    return squeeze_by_reruns(instance)[1]

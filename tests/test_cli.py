@@ -194,6 +194,42 @@ def test_decode_full_chain(capsys, tmp_path):
     assert red.satisfies(formula, assignment)
 
 
+def test_decode_normalize_ppn_reads_original_variables(capsys, tmp_path):
+    import hrrc.reductions as red
+
+    cnf, inst_path, m_path = tmp_path / "raw.cnf", tmp_path / "inst.json", tmp_path / "m.json"
+
+    def decoded(text, target, matching_text=None):
+        cnf.write_text(text)
+        argv = ["--target", target, "--normalize-ppn"]
+        assert run(capsys, "reduce", str(cnf), *argv, "--out", str(inst_path))[0] == 0
+        if matching_text is None:
+            code, out, _ = run(capsys, "brute", str(inst_path), "--force")
+            assert code == 0 and out.startswith("found\n")
+            matching_text = out.split("\n", 1)[1]
+        m_path.write_text(matching_text)
+        code, out, _ = run(capsys, "decode", str(cnf), str(m_path), *argv)
+        assert code == 0
+        values = dict(item.split("=") for item in out.split())
+        formula = red.parse_dimacs(text)
+        assert list(values) == [f"x{i}" for i in range(1, formula.num_vars + 1)]
+        assignment = {int(k[1:]): v == "1" for k, v in values.items()}
+        assert red.satisfies(formula, assignment)
+        return assignment
+
+    assert decoded("p cnf 2 2\n1 2 0\n-1 2 0\n", "ppn-322") == {1: False, 2: True}
+    # A unit clause adds padding variables and x3 occurs nowhere; the witness
+    # is the encoded least model of the normalized formula.
+    text = "p cnf 3 2\n-1 0\n1 2 0\n"
+    normalized, _origins = red.to_ppn(red.parse_dimacs(text))
+    for variant in red.ReductionVariant:
+        if variant is red.ReductionVariant.ONE_IN_THREE_222:
+            continue
+        witness = red.encode_assignment(normalized, red.sat_brute(normalized), variant)
+        assignment = decoded(text, variant.value, save_matching(witness))
+        assert assignment == {1: False, 2: True, 3: False}
+
+
 def test_decode_rejects_unstable_matching(capsys, tmp_path):
     cnf = tmp_path / "clause.cnf"
     cnf.write_text("p cnf 3 1\n1 2 3 0\n")

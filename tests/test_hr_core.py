@@ -11,7 +11,6 @@ import pytest
 from gen import random_instance
 from hrrc.exhaustive import strongly_stable_set
 from hrrc.hr_core import DeferredAcceptance, rgs, shrink
-from hrrc.index import InstanceIndex
 from hrrc.model import Assignment, example_g2, make_instance
 from hrrc.stability import blocking_pairs, is_matching
 
@@ -111,7 +110,7 @@ def test_squeezes_resume_to_the_rerun_matching():
     squeezes = 0
     for _ in range(300):
         inst = random_instance(rng, gamma=0)
-        da = DeferredAcceptance(InstanceIndex(inst))
+        da = DeferredAcceptance(inst)
         assert da.matching() == rgs(inst)
         while True:
             open_hospitals = [h for h in inst.hospitals if da.capacities[h] > 0]

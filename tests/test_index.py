@@ -1,92 +1,143 @@
-"""The compiled instance index and validation once per public call."""
+"""The compiled instance index, built once per instance by its validation."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-import hrrc.model as model
 from gen import random_instance
+from hrrc import cli
 from hrrc.cli import main
-from hrrc.index import InstanceIndex, index_for
+from hrrc.exhaustive import strongly_stable_set
+from hrrc.index import InstanceIndex
 from hrrc.model import (
     Assignment,
     InstanceError,
+    classify,
     example_g2,
+    load_instance,
     make_instance,
     save_instance,
     save_matching,
+    validate,
 )
 from hrrc.poly_solvers import dispatch, solve_222_disjoint
+from hrrc.stability import is_strongly_stable, report
 
 
 def test_index_tables():
-    g2 = example_g2()
-    index = InstanceIndex(g2)
+    index = example_g2().index
     assert index.resident_pos == {"r1": 0, "r2": 1}
     assert index.hospital_pos == {"h1": 0, "h2": 1}
     assert index.rrank["r2"] == {"h2": 0, "h1": 1}
     assert index.hrank["h1"] == {"r2": 0, "r1": 1}
     assert index.regions_of == {"h1": (0,), "h2": (0,)}
     assert index.region_caps == (1,)
+    assert index.violations == []
 
 
-def test_with_capacities_shares_tables():
-    index = InstanceIndex(example_g2())
-    lowered = index.with_capacities({"h1": 0, "h2": 1})
-    assert lowered.instance.capacities == {"h1": 0, "h2": 1}
-    assert lowered.capacities is lowered.instance.capacities
-    assert lowered.hrank is index.hrank
-    assert index.instance.capacities == {"h1": 1, "h2": 1}
-
-
-def test_index_for_validates_and_checks_identity():
+def test_index_validates_on_first_use():
     bad = make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, [])])
-    with pytest.raises(InstanceError, match="does not list"):
-        index_for(bad)
-    index_for(bad, validate=False)
+    for use in (
+        lambda: bad.index,
+        lambda: classify(bad),
+        lambda: dispatch(bad),
+        lambda: is_strongly_stable(bad, Assignment()),
+        lambda: report(bad, Assignment()),
+        lambda: strongly_stable_set(bad),
+    ):
+        with pytest.raises(InstanceError, match="does not list"):
+            use()
+    assert validate(bad) == ["resident 'r' lists 'h' but 'h' does not list 'r'"]
+
+
+def test_replace_compiles_afresh():
     g2 = example_g2()
-    with pytest.raises(ValueError, match="different instance"):
-        dispatch(g2, index=InstanceIndex(example_g2()))
+    index = g2.index
+    assert g2.index is index
+    lowered = replace(g2, capacities={"h1": 0, "h2": 1})
+    assert lowered.index is not index
+    assert g2 == example_g2()
+    assert lowered == replace(example_g2(), capacities={"h1": 0, "h2": 1})
+    broken = replace(g2, capacities={"h1": -1, "h2": 1})
+    with pytest.raises(InstanceError, match="invalid capacity -1"):
+        broken.index
 
 
 @pytest.fixture()
-def validations(monkeypatch):
+def compiles(monkeypatch):
+    """Every instance an InstanceIndex is compiled from, in order."""
     calls = []
-    original = model.validate
+    original = InstanceIndex.__init__
 
-    def counting(instance):
+    def counting(self, instance):
         calls.append(instance)
-        return original(instance)
+        original(self, instance)
 
-    monkeypatch.setattr(model, "validate", counting)
+    monkeypatch.setattr(InstanceIndex, "__init__", counting)
     return calls
 
 
-def test_dispatch_validates_once(validations):
+def compiled_once_each(calls):
+    return len({id(instance) for instance in calls}) == len(calls)
+
+
+def test_each_instance_compiles_at_most_once(compiles):
+    rng = random.Random(5)
+    for _ in range(60):
+        inst = random_instance(rng, max_residents=5, max_hospitals=5, max_capacity=2)
+        validate(inst)
+        classify(inst)
+        outcome = dispatch(inst, brute_limit=64)
+        if outcome.is_found:
+            report(inst, outcome.matching)
+        strongly_stable_set(inst)
+        solve_222_disjoint(example_g2())
+    assert compiled_once_each(compiles)
+
+
+def test_dispatch_validates_once(compiles):
     rng = random.Random(3)
     for _ in range(40):
         inst = random_instance(
             rng, max_residents=8, max_hospitals=8, alpha=2, beta=2, gamma=2, disjoint=True,
             max_capacity=2,
         )
-        validations.clear()
+        compiles.clear()
         dispatch(inst)
-        assert len(validations) == 1
+        assert sum(c is inst for c in compiles) == 1
+        assert compiled_once_each(compiles)
 
 
-def test_solve_222_disjoint_validates_once(validations):
-    solve_222_disjoint(example_g2())
-    assert len(validations) == 1
+def test_solve_222_disjoint_validates_once(compiles):
+    g2 = example_g2()
+    solve_222_disjoint(g2)
+    assert sum(c is g2 for c in compiles) == 1
+    assert compiled_once_each(compiles)
 
 
 @pytest.mark.parametrize("command", ["classify", "solve", "check", "brute"])
-def test_cli_validates_once(command, validations, tmp_path, capsys):
+def test_cli_validates_once(command, compiles, monkeypatch, tmp_path, capsys):
+    loaded = []
+
+    def recording(text):
+        instance = load_instance(text)
+        loaded.append(instance)
+        return instance
+
+    monkeypatch.setattr(cli, "load_instance", recording)
     path = tmp_path / "g2.json"
     path.write_text(save_instance(example_g2()))
     matching = tmp_path / "empty.json"
     matching.write_text(save_matching(Assignment()))
     argv = [command, str(path)] + ([str(matching)] if command == "check" else [])
     main(argv)
-    assert len(validations) == 1
+    assert len(loaded) == 1
+    assert sum(c is loaded[0] for c in compiles) == 1
+    if command == "solve":
+        # Blocks and remainders the solver cuts out compile their own views.
+        assert compiled_once_each(compiles)
+    else:
+        assert len(compiles) == 1

@@ -12,7 +12,6 @@ import pytest
 from gen import TIGHT_2X2, random_instance
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.hr_core import DeferredAcceptance, rgs, shrink
-from hrrc.index import InstanceIndex
 from hrrc.model import Assignment, Region, example_g2, instance_from_doc, make_instance
 from hrrc.poly_solvers import (
     _remove_blocks,
@@ -25,7 +24,7 @@ from hrrc.poly_solvers import (
     solve_res_len1,
 )
 from hrrc.stability import blocking_pairs, is_strongly_stable, strong_blocking_pairs
-from reference_capacity_loop import solve_2x2_free_by_reruns
+from reference_capacity_loop import solve_2x2_free_by_reruns, squeeze_by_reruns
 
 
 def g2_with_cap(cap):
@@ -248,7 +247,9 @@ def test_solve_2x2_free_equals_rerun_reference_at_bench_sizes():
         assert solve_2x2_free(rest) == solve_2x2_free_by_reruns(rest)
 
 
-def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch):
+@pytest.fixture()
+def loop_states(monkeypatch):
+    """The DeferredAcceptance states solve_2x2_free builds, recorded as it runs."""
     import hrrc.poly_solvers as poly_solvers
 
     states = []
@@ -256,27 +257,51 @@ def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch):
     class Recording(DeferredAcceptance):
         __slots__ = ()
 
-        def __init__(self, index):
-            super().__init__(index)
+        def __init__(self, instance, capacities=None):
+            super().__init__(instance, capacities)
             states.append(self)
+
+    monkeypatch.setattr(poly_solvers, "DeferredAcceptance", Recording)
+    return states
+
+
+def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch, loop_states):
+    import hrrc.poly_solvers as poly_solvers
 
     def no_rerun(*args, **kwargs):
         raise AssertionError("the capacity loop reran deferred acceptance")
 
-    monkeypatch.setattr(poly_solvers, "DeferredAcceptance", Recording)
     monkeypatch.setattr(poly_solvers, "rgs", no_rerun)
-    monkeypatch.setattr(InstanceIndex, "with_capacities", no_rerun)
     instances = list(criterion_3_draws(77, 150)) + bench_disjoint_instances((250, 1000))
     squeezes = 0
     for inst in instances:
         rest = block_free_rest(inst)
-        states.clear()
+        loop_states.clear()
         solve_2x2_free(rest)
-        (state,) = states
+        (state,) = loop_states
         proposals = sum(state.next_choice.values())
         assert proposals <= sum(len(prefs) for prefs in rest.resident_prefs.values())
         squeezes += sum(rest.capacities.values()) - sum(state.capacities.values())
     assert squeezes > 100, "the instances should exercise the capacity loop"
+
+
+def test_capacity_loop_order_does_not_matter(loop_states):
+    """Random squeeze orders end at the package's capacities and matching."""
+    rng = random.Random(31)
+    choices = 0
+    for inst in list(criterion_3_draws(2025, 400)) + bench_disjoint_instances((120, 250)):
+        rest = block_free_rest(inst)
+        loop_states.clear()
+        matching = solve_2x2_free(rest)
+        (state,) = loop_states
+        for _ in range(3):
+            def choose(regions):
+                nonlocal choices
+                choices += len(regions) > 1
+                return rng.choice(regions)
+
+            assert squeeze_by_reruns(rest, choose) == (state.capacities, matching)
+    assert choices > 100, "the draws should overload several regions at once"
 
 
 # --- full disjoint (2,2,2) solver -------------------------------------------

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from gen import all_ppn_formulas, random_cnf, random_ppn_formula
-from hrrc.exhaustive import exists_strongly_stable
+from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.model import classify
 from hrrc.reductions import (
     CnfFormula,
@@ -302,13 +302,14 @@ def test_terminal_block_pairs_in_encodings(variant):
             assert (f"g'_{j}_3", f"g'_{j}_4") in m
 
 
+SMALL_PPN_FORMULAS = all_ppn_formulas(2) + all_ppn_formulas(3)
+
+
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
 def test_encode_decode_roundtrip_all_satisfying_assignments(variant):
-    rng = random.Random(71)
-    formulas = [random_ppn_formula(rng, rng.randint(2, 3)) for _ in range(8)]
     from itertools import product
 
-    for f in formulas:
+    for f in SMALL_PPN_FORMULAS:
         inst, _ = reduce_ppn(f, variant)
         for values in product((False, True), repeat=f.num_vars):
             a = dict(zip(range(1, f.num_vars + 1), values))
@@ -317,6 +318,18 @@ def test_encode_decode_roundtrip_all_satisfying_assignments(variant):
             m = encode_assignment(f, a, variant)
             assert is_strongly_stable(inst, m)
             assert decode_matching(f, m, variant) == a
+
+
+@pytest.mark.parametrize("variant", PPN_VARIANTS)
+def test_strongly_stable_matchings_decode_to_satisfying_assignments(variant):
+    # The full sweep (351 reductions) takes about a minute; a seeded sample of
+    # the 2-3 variable formulas keeps this to about a second per target.
+    for f in random.Random(79).sample(SMALL_PPN_FORMULAS, 5):
+        inst, _ = reduce_ppn(f, variant)
+        matchings = strongly_stable_set(inst)
+        assert matchings
+        for m in matchings:
+            assert satisfies(f, decode_matching(f, m, variant))
 
 
 def test_encode_rejects_non_satisfying_assignment():

@@ -1,0 +1,19 @@
+"""The experiment scripts run to completion on small sweeps."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_solver_oracle_agreement_script():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "solver_oracle_agreement.py"), "--samples", "200"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
