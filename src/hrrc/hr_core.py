@@ -94,14 +94,18 @@ def rgs(
     return DeferredAcceptance(instance, capacities).matching()
 
 
+def shrunk_capacities(instance: Instance) -> dict[str, int]:
+    """Each hospital's capacity, capped by the length of its preference list."""
+    return {
+        h: min(instance.capacities[h], len(instance.hospital_prefs[h]))
+        for h in instance.hospitals
+    }
+
+
 def shrink(instance: Instance) -> Instance:
     """Cap each hospital's capacity by the length of its preference list.
 
     Idempotent, and preserves the set of strongly stable matchings: a
     hospital can never hold more residents than it finds acceptable.
     """
-    capacities = {
-        h: min(instance.capacities[h], len(instance.hospital_prefs[h]))
-        for h in instance.hospitals
-    }
-    return replace(instance, capacities=capacities)
+    return replace(instance, capacities=shrunk_capacities(instance))

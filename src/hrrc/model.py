@@ -64,9 +64,6 @@ class Instance:
     hospital_prefs: dict[str, tuple[str, ...]]
     regions: tuple[Region, ...] = ()
 
-    def capacity(self, hospital: str) -> int:
-        return self.capacities[hospital]
-
     @cached_property
     def _compiled(self) -> InstanceIndex:
         return InstanceIndex(self)

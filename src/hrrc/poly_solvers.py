@@ -8,8 +8,10 @@ exists (or, for the disjoint (2,2,2) class, can be decided):
 * ``solve_hosp_len1``      -- every hospital lists at most one resident;
 * ``solve_2x2_free``       -- disjoint (2,2,2) instances whose size-2 regions
   have at most one common acceptable resident;
-* ``solve_222_disjoint``   -- general disjoint (2,2,2) instances, handled by
-  splitting off independent 2x2 blocks and solving the remainder.
+* ``solve_222_disjoint``   -- general disjoint (2,2,2) instances: each
+  independent 2x2 block is decided on its own, and the capacity loop of
+  ``solve_2x2_free`` runs on the whole instance with the blocks' hospitals
+  closed.
 
 ``dispatch`` routes an arbitrary instance to the first applicable solver and
 falls back to exhaustive search on small instances.
@@ -18,10 +20,10 @@ falls back to exhaustive search on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .exhaustive import exists_strongly_stable
-from .hr_core import DeferredAcceptance, rgs, shrink
+from .hr_core import DeferredAcceptance, rgs, shrunk_capacities
 from .model import (
     Assignment,
     Instance,
@@ -124,7 +126,14 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
     """Locate every independent 2x2 block, in region declaration order.
 
     A size-2 region forms a block exactly when two residents are acceptable
-    to both member hospitals.
+    to both member hospitals.  In a disjoint (2,2,2) instance every block
+    ``(r1, r2, h1, h2)`` is closed, so nothing outside it refers to it:
+
+    * ``h1`` and ``h2`` each list ``r1`` and ``r2``, and by beta <= 2 nothing else;
+    * acceptability is mutual, so ``r1`` and ``r2`` each list ``h1`` and ``h2``,
+      and by alpha <= 2 nothing else;
+    * regions are disjoint, so the block's region is the only one holding
+      ``h1`` or ``h2``, and it holds nothing else.
     """
     if not classify(instance).disjoint:
         raise ValueError("2x2 block extraction requires disjoint regions")
@@ -139,52 +148,21 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
         if len(common) != 2:
             continue
         r1, r2 = sorted(common, key=resident_index.__getitem__)
-        if not all(h in index.rrank[r] for r in (r1, r2) for h in reg.hospitals):
-            continue
         h1, h2 = sorted(reg.hospitals, key=hospital_index.__getitem__)
         out.append(SubInstance2x2((r1, r2), (h1, h2), reg))
     return out
 
 
 def _block_instance(instance: Instance, sub: SubInstance2x2) -> Instance:
-    keep = set(sub.residents) | set(sub.hospitals)
+    """A block of a disjoint (2,2,2) instance as an instance of its own (it is closed)."""
     return Instance(
         residents=sub.residents,
         hospitals=sub.hospitals,
         capacities={h: instance.capacities[h] for h in sub.hospitals},
-        resident_prefs={
-            r: tuple(h for h in instance.resident_prefs[r] if h in keep) for r in sub.residents
-        },
-        hospital_prefs={
-            h: tuple(r for r in instance.hospital_prefs[h] if r in keep) for h in sub.hospitals
-        },
+        resident_prefs={r: instance.resident_prefs[r] for r in sub.residents},
+        hospital_prefs={h: instance.hospital_prefs[h] for h in sub.hospitals},
         regions=(sub.region,),
     )
-
-
-def _remove_blocks(instance: Instance, subs: list[SubInstance2x2]) -> Instance:
-    removed_residents = {r for sub in subs for r in sub.residents}
-    removed_hospitals = {h for sub in subs for h in sub.hospitals}
-    removed_regions = {sub.region.hospitals for sub in subs}
-    residents = tuple(r for r in instance.residents if r not in removed_residents)
-    hospitals = tuple(h for h in instance.hospitals if h not in removed_hospitals)
-    rest = Instance(
-        residents=residents,
-        hospitals=hospitals,
-        capacities={h: instance.capacities[h] for h in hospitals},
-        resident_prefs={r: instance.resident_prefs[r] for r in residents},
-        hospital_prefs={h: instance.hospital_prefs[h] for h in hospitals},
-        regions=tuple(reg for reg in instance.regions if reg.hospitals not in removed_regions),
-    )
-    # Blocks are closed under acceptability, so no surviving list or region
-    # may mention a removed agent.
-    if (
-        any(removed_hospitals.intersection(rest.resident_prefs[r]) for r in rest.residents)
-        or any(removed_residents.intersection(rest.hospital_prefs[h]) for h in rest.hospitals)
-        or any(reg.hospitals & removed_hospitals for reg in rest.regions)
-    ):
-        raise RuntimeError("a 2x2 block is not closed under acceptability")
-    return rest
 
 
 def solve_2x2_free(instance: Instance) -> Assignment:
@@ -215,6 +193,9 @@ def solve_2x2_free(instance: Instance) -> Assignment:
        of any run starts at ``n <= m`` and squeezes ``R``, then ``R`` is
        overloaded at ``n``, so ``n_R < m_R`` by 3 and the step stays ``<= m``.
        Every run therefore stops below ``m``, and by symmetry at ``m``.
+    5. A closed hospital (capacity 0) holds nobody, so a region whose members
+       are all closed is never overloaded and never squeezed; this is how
+       :func:`solve_222_disjoint` runs the loop around its 2x2 blocks.
 
     Each squeeze lowers the total capacity, so the loop ends.
     """
@@ -229,24 +210,34 @@ def solve_2x2_free(instance: Instance) -> Assignment:
         raise ValueError(f"solver requires regions of size at most 2, got gamma={cls.gamma}")
     if any(instance.capacities[h] > 2 for h in instance.hospitals):
         raise ValueError("solver requires hospital capacities of at most 2")
-    common: dict[frozenset[str], set[str]] = {}
     for reg in instance.regions:
-        if len(reg.hospitals) == 2:
-            common[reg.hospitals] = common_residents(instance, reg.hospitals)
-            if len(common[reg.hospitals]) > 1:
-                raise ValueError(
-                    f"region {sorted(reg.hospitals)} has two common residents; "
-                    "extract its 2x2 block first"
-                )
+        if len(reg.hospitals) == 2 and len(common_residents(instance, reg.hospitals)) > 1:
+            raise ValueError(
+                f"region {sorted(reg.hospitals)} has two common residents; "
+                "extract its 2x2 block first"
+            )
+    return _capacity_loop(instance, instance.capacities)
 
+
+def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignment:
+    """The loop of :func:`solve_2x2_free`, started from ``capacities``.
+
+    ``instance`` and ``capacities`` must meet ``solve_2x2_free``'s conditions,
+    except that a 2x2 block may remain if its hospitals are closed.
+    """
     index = instance.index
     hospital_index = index.hospital_pos
     regions_of, caps = index.regions_of, index.region_caps
-    da = DeferredAcceptance(instance)
+    common = {
+        reg.hospitals: common_residents(instance, reg.hospitals)
+        for reg in instance.regions
+        if len(reg.hospitals) == 2
+    }
+    da = DeferredAcceptance(instance, capacities)
     capacities = da.capacities
     load = dict.fromkeys(instance.hospitals, 0)
     region_load = [0] * len(caps)
-    # Regions that became overloaded, in any order (see the docstring); a
+    # Regions that became overloaded, in any order (see solve_2x2_free); a
     # region a squeeze brought back under its cap is dropped when it surfaces.
     overloaded: list[int] = []
 
@@ -289,23 +280,30 @@ def solve_2x2_free(instance: Instance) -> Assignment:
 def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     """Decide disjoint (2,2,2) instances.
 
-    Every 2x2 block is independent of the rest, so the instance has a
-    strongly stable matching exactly when each block has one and the
-    block-free remainder (which always does) is solved alongside.  Each
+    Every 2x2 block is closed (see :func:`find_2x2_subinstances`) and so
+    independent of the rest: the instance has a strongly stable matching
+    exactly when each block has one, and the rest always has one.  Each
     block takes its canonically first strongly stable matching, found by
-    exhaustive search over its at most nine assignments.
+    exhaustive search over its at most nine assignments.  The rest is solved
+    by :func:`solve_2x2_free`'s loop on this instance itself, each capacity
+    capped by its hospital's list length and every block hospital closed:
+    block residents then stay unmatched, and the other agents never meet
+    them, so they get the matching the loop gives on the block-free rest.
     """
     cls = classify(instance)
     if not (cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint):
         raise ValueError(f"solver requires a disjoint (2,2,2) instance, got {cls}")
     subs = find_2x2_subinstances(instance)
     block_pairs: list[tuple[str, str]] = []
+    capacities = shrunk_capacities(instance)
     for sub in subs:
         solved = exists_strongly_stable(_block_instance(instance, sub))
         if not solved.is_found:
             return SolveOutcome.none_exists()
         block_pairs.extend(solved.matching.pairs)
-    core = solve_2x2_free(shrink(_remove_blocks(instance, subs)))
+        for h in sub.hospitals:
+            capacities[h] = 0
+    core = _capacity_loop(instance, capacities)
     matching = Assignment.of(block_pairs + list(core.pairs))
     return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint"))
 

@@ -136,8 +136,45 @@ def test_cli_validates_once(command, compiles, monkeypatch, tmp_path, capsys):
     main(argv)
     assert len(loaded) == 1
     assert sum(c is loaded[0] for c in compiles) == 1
-    if command == "solve":
-        # Blocks and remainders the solver cuts out compile their own views.
-        assert compiled_once_each(compiles)
-    else:
-        assert len(compiles) == 1
+    # example_g2 is one 2x2 block, which solve decides as an instance of its own.
+    assert len(compiles) == (2 if command == "solve" else 1)
+    assert compiled_once_each(compiles)
+
+
+def two_blocks_and_a_squeeze():
+    """A found disjoint (2,2,2) instance: two 2x2 blocks, and a region the loop squeezes."""
+    return make_instance(
+        residents=[
+            ("r1", ["h1", "h2"]),
+            ("r2", ["h2", "h1"]),
+            ("s1", ["k1", "k2"]),
+            ("s2", ["k2", "k1"]),
+            ("t1", ["g1", "g2"]),
+            ("t2", ["g1"]),
+        ],
+        hospitals=[
+            ("h1", 1, ["r2", "r1"]),
+            ("h2", 1, ["r1", "r2"]),
+            ("k1", 1, ["s2", "s1"]),
+            ("k2", 1, ["s1", "s2"]),
+            ("g1", 2, ["t2", "t1"]),
+            ("g2", 1, ["t1"]),
+        ],
+        regions=[({"h1", "h2"}, 2), ({"k1", "k2"}, 2), ({"g1", "g2"}, 1)],
+    )
+
+
+def test_solve_222_disjoint_compiles_the_instance_and_each_block(compiles, tmp_path, capsys):
+    inst = two_blocks_and_a_squeeze()
+    out = solve_222_disjoint(inst)
+    assert out.matching == Assignment.of(
+        [("r1", "h1"), ("r2", "h2"), ("s1", "k1"), ("s2", "k2"), ("t2", "g1")]
+    )
+    assert compiles[0] is inst
+    assert len(compiles) == 1 + 2
+    compiles.clear()
+    path = tmp_path / "blocks.json"
+    path.write_text(save_instance(inst))
+    assert main(["solve", str(path)]) == 0
+    assert len(compiles) == 1 + 2
+    assert compiled_once_each(compiles)

@@ -11,10 +11,9 @@ import pytest
 
 from gen import TIGHT_2X2, random_instance
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
-from hrrc.hr_core import DeferredAcceptance, rgs, shrink
+from hrrc.hr_core import DeferredAcceptance, rgs
 from hrrc.model import Assignment, Region, example_g2, instance_from_doc, make_instance
 from hrrc.poly_solvers import (
-    _remove_blocks,
     dispatch,
     find_2x2_subinstances,
     solve_222_disjoint,
@@ -205,8 +204,54 @@ def test_solve_2x2_free_rejects_blocks_and_big_caps():
 
 
 def block_free_rest(instance):
-    """What solve_222_disjoint hands solve_2x2_free: the shrunk block-free remainder."""
-    return shrink(_remove_blocks(instance, find_2x2_subinstances(instance)))
+    """The shrunk block-free remainder of a disjoint (2,2,2) instance.
+
+    Built here from the instance's rows, so a block that is not closed makes
+    it invalid.
+    """
+    blocks = {a for sub in find_2x2_subinstances(instance) for a in sub.residents + sub.hospitals}
+    return make_instance(
+        residents=[(r, instance.resident_prefs[r]) for r in instance.residents if r not in blocks],
+        hospitals=[
+            (h, min(instance.capacities[h], len(instance.hospital_prefs[h])), instance.hospital_prefs[h])
+            for h in instance.hospitals
+            if h not in blocks
+        ],
+        regions=[(reg.hospitals, reg.cap) for reg in instance.regions if not reg.hospitals & blocks],
+    )
+
+
+def block_oracle_pairs(instance):
+    """The oracle's pairs on each 2x2 block built on its own; None if some block has none."""
+    pairs = []
+    for sub in find_2x2_subinstances(instance):
+        block = make_instance(
+            residents=[(r, instance.resident_prefs[r]) for r in sub.residents],
+            hospitals=[(h, instance.capacities[h], instance.hospital_prefs[h]) for h in sub.hospitals],
+            regions=[(sub.region.hospitals, sub.region.cap)],
+        )
+        solved = exists_strongly_stable(block)
+        if not solved.is_found:
+            return None
+        pairs += solved.matching.pairs
+    return pairs
+
+
+def squeezed_against_reference(instance):
+    """Check solve_222_disjoint against the blocks' oracle and the rerun loop on the rest.
+
+    Returns whether the package's loop had to squeeze.
+    """
+    rest = block_free_rest(instance)
+    expected = solve_2x2_free_by_reruns(rest)
+    assert solve_2x2_free(rest) == expected
+    pairs = block_oracle_pairs(instance)
+    outcome = solve_222_disjoint(instance)
+    if pairs is None:
+        assert outcome.status == "none-exists"
+        return False
+    assert outcome.matching == Assignment.of(pairs + list(expected.pairs))
+    return expected != rgs(rest, ignore_regions=True)
 
 
 def criterion_3_draws(seed, count):
@@ -231,25 +276,19 @@ def bench_disjoint_instances(sizes):
     return [instance_from_doc(inputs.disjoint_doc(rng, n, False)) for n in sizes]
 
 
-def test_solve_2x2_free_equals_rerun_reference_on_criterion_3_draws():
-    squeezed = 0
-    for inst in criterion_3_draws(2024, 600):
-        rest = block_free_rest(inst)
-        expected = solve_2x2_free_by_reruns(rest)
-        assert solve_2x2_free(rest) == expected
-        squeezed += expected != rgs(rest, ignore_regions=True)
+def test_solve_222_disjoint_equals_blocks_and_rerun_reference_on_criterion_3_draws():
+    squeezed = sum(squeezed_against_reference(inst) for inst in criterion_3_draws(2024, 600))
     assert squeezed > 50, "the sweep should reach the capacity loop"
 
 
-def test_solve_2x2_free_equals_rerun_reference_at_bench_sizes():
+def test_solve_222_disjoint_equals_blocks_and_rerun_reference_at_bench_sizes():
     for inst in bench_disjoint_instances((120, 250, 1000)):
-        rest = block_free_rest(inst)
-        assert solve_2x2_free(rest) == solve_2x2_free_by_reruns(rest)
+        squeezed_against_reference(inst)
 
 
 @pytest.fixture()
 def loop_states(monkeypatch):
-    """The DeferredAcceptance states solve_2x2_free builds, recorded as it runs."""
+    """The DeferredAcceptance states the capacity loop builds, recorded as it runs."""
     import hrrc.poly_solvers as poly_solvers
 
     states = []
@@ -265,6 +304,19 @@ def loop_states(monkeypatch):
     return states
 
 
+def loop_state(instance, loop_states):
+    """The state solve_222_disjoint's capacity loop ends in.
+
+    None when some block has no strongly stable matching, so no loop runs.
+    """
+    loop_states.clear()
+    if not solve_222_disjoint(instance).is_found:
+        assert not loop_states, "the loop ran although a block has no strongly stable matching"
+        return None
+    (state,) = loop_states
+    return state
+
+
 def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch, loop_states):
     import hrrc.poly_solvers as poly_solvers
 
@@ -275,13 +327,12 @@ def test_capacity_loop_proposes_each_pair_at_most_once(monkeypatch, loop_states)
     instances = list(criterion_3_draws(77, 150)) + bench_disjoint_instances((250, 1000))
     squeezes = 0
     for inst in instances:
-        rest = block_free_rest(inst)
-        loop_states.clear()
-        solve_2x2_free(rest)
-        (state,) = loop_states
+        state = loop_state(inst, loop_states)
+        if state is None:
+            continue
         proposals = sum(state.next_choice.values())
-        assert proposals <= sum(len(prefs) for prefs in rest.resident_prefs.values())
-        squeezes += sum(rest.capacities.values()) - sum(state.capacities.values())
+        assert proposals <= sum(len(prefs) for prefs in inst.resident_prefs.values())
+        squeezes += sum(block_free_rest(inst).capacities.values()) - sum(state.capacities.values())
     assert squeezes > 100, "the instances should exercise the capacity loop"
 
 
@@ -290,17 +341,18 @@ def test_capacity_loop_order_does_not_matter(loop_states):
     rng = random.Random(31)
     choices = 0
     for inst in list(criterion_3_draws(2025, 400)) + bench_disjoint_instances((120, 250)):
+        state = loop_state(inst, loop_states)
+        if state is None:
+            continue
         rest = block_free_rest(inst)
-        loop_states.clear()
-        matching = solve_2x2_free(rest)
-        (state,) = loop_states
+        reached = ({h: state.capacities[h] for h in rest.hospitals}, state.matching())
         for _ in range(3):
             def choose(regions):
                 nonlocal choices
                 choices += len(regions) > 1
                 return rng.choice(regions)
 
-            assert squeeze_by_reruns(rest, choose) == (state.capacities, matching)
+            assert squeeze_by_reruns(rest, choose) == reached
     assert choices > 100, "the draws should overload several regions at once"
 
 
@@ -462,23 +514,6 @@ def test_dispatch_outcomes_match_oracle_on_mixed_instances():
 
 
 # --- internal consistency checks raise, whatever the interpreter flags -------
-
-
-def test_unclosed_block_raises(monkeypatch):
-    import hrrc.poly_solvers as poly_solvers
-    from hrrc.poly_solvers import SubInstance2x2
-
-    # r3 still lists h1, so removing the claimed block (r1, r2, h1, h2) would
-    # leave a dangling reference.
-    inst = make_instance(
-        residents=[("r1", ["h1"]), ("r2", ["h2"]), ("r3", ["h1"])],
-        hospitals=[("h1", 1, ["r1", "r3"]), ("h2", 1, ["r2"])],
-        regions=[({"h1", "h2"}, 1)],
-    )
-    bogus = SubInstance2x2(("r1", "r2"), ("h1", "h2"), inst.regions[0])
-    monkeypatch.setattr(poly_solvers, "find_2x2_subinstances", lambda *a, **k: [bogus])
-    with pytest.raises(RuntimeError, match="not closed under acceptability"):
-        solve_222_disjoint(inst)
 
 
 def test_squeeze_without_capacity_raises(monkeypatch):
