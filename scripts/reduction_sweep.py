@@ -5,7 +5,7 @@ Samples small 2-positive/1-negative formulas, reduces each through all three
 target classes, and checks that brute-force satisfiability agrees with
 strongly-stable-matching existence; satisfiable cases are additionally pushed
 through the encode/decode witness maps.  Random draws are almost always
-satisfiable, so the sweep then adds the first unsatisfiable formula of every
+satisfiable, so the sweep then adds the 15 unsatisfiable formulas among every
 PPN formula on four variables, and exits non-zero if a target saw only one
 verdict.
 """
@@ -73,13 +73,14 @@ def main() -> None:
     stats = {v: {"sat": 0, "unsat": 0} for v in VARIANTS}
     for _ in range(args.count):
         sweep(random_ppn_formula(rng, rng.randint(2, args.max_vars)), stats)
-    unsatisfiable = next(f for f in all_ppn_formulas(4) if sat_brute(f) is None)
-    sweep(unsatisfiable, stats)
+    unsatisfiable = [f for f in all_ppn_formulas(4) if sat_brute(f) is None]
+    for formula in unsatisfiable:
+        sweep(formula, stats)
     dt = time.perf_counter() - t0
     for variant in VARIANTS:
         s = stats[variant]
         print(
-            f"{variant.value}: {args.count + 1} formulas, verdicts agree "
+            f"{variant.value}: {args.count + len(unsatisfiable)} formulas, verdicts agree "
             f"({s['sat']} satisfiable, {s['unsat']} unsatisfiable)  [{dt:.2f}s total]"
         )
     if any(0 in s.values() for s in stats.values()):

@@ -5,9 +5,10 @@ lists, gives each hospital a capacity, and optionally groups hospitals into
 regions, each carrying a cap on the total number of residents assigned inside
 the group.  Instances are treated as immutable values: every operation in
 this package is a pure function over them.  Each instance compiles its
-:class:`~hrrc.index.InstanceIndex` on first use and keeps it, so an instance
-(its dicts included) must not be mutated after first use; build a new one,
-for example with :func:`dataclasses.replace`, which compiles afresh.
+:class:`~hrrc.index.InstanceIndex`, and computes its :func:`classify` class,
+on first use and keeps them, so an instance (its dicts included) must not be
+mutated after first use; build a new one, for example with
+:func:`dataclasses.replace`, which compiles afresh.
 
 Document formats (UTF-8 JSON):
 
@@ -78,6 +79,21 @@ class Instance:
         """
         require_valid(self)
         return self._compiled
+
+    @cached_property
+    def _class(self) -> InstanceClass:
+        require_valid(self)
+        alpha = max((len(p) for p in self.resident_prefs.values()), default=0)
+        beta = max((len(p) for p in self.hospital_prefs.values()), default=0)
+        gamma = max((len(reg.hospitals) for reg in self.regions), default=0)
+        membership: set[str] = set()
+        disjoint = True
+        for reg in self.regions:
+            if membership & reg.hospitals:
+                disjoint = False
+                break
+            membership |= reg.hospitals
+        return InstanceClass(alpha, beta, gamma, disjoint)
 
 
 @dataclass(frozen=True)
@@ -199,19 +215,12 @@ def require_valid(instance: Instance) -> None:
 
 
 def classify(instance: Instance) -> InstanceClass:
-    """Compute the exact (alpha, beta, gamma, disjoint) parameters of a valid instance."""
-    require_valid(instance)
-    alpha = max((len(p) for p in instance.resident_prefs.values()), default=0)
-    beta = max((len(p) for p in instance.hospital_prefs.values()), default=0)
-    gamma = max((len(reg.hospitals) for reg in instance.regions), default=0)
-    membership: set[str] = set()
-    disjoint = True
-    for reg in instance.regions:
-        if membership & reg.hospitals:
-            disjoint = False
-            break
-        membership |= reg.hospitals
-    return InstanceClass(alpha, beta, gamma, disjoint)
+    """The exact (alpha, beta, gamma, disjoint) parameters of a valid instance.
+
+    They are computed on the first call and kept on the instance, like its
+    index.  Raises :class:`InstanceError` if the instance is invalid.
+    """
+    return instance._class
 
 
 def acceptables(instance: Instance, agent: str) -> set[str]:

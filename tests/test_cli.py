@@ -218,6 +218,9 @@ def test_decode_normalize_ppn_reads_original_variables(capsys, tmp_path):
         return assignment
 
     assert decoded("p cnf 2 2\n1 2 0\n-1 2 0\n", "ppn-322") == {1: False, 2: True}
+    # A unit clause pads the normalized formula; this ppn-223 image ran past
+    # 90 s before the oracle learned to backjump.
+    assert decoded("p cnf 3 3\n1 -2 0\n2 3 0\n-3 0\n", "ppn-223") == {1: True, 2: True, 3: False}
     # A unit clause adds padding variables and x3 occurs nowhere; the witness
     # is the encoded least model of the normalized formula.
     text = "p cnf 3 2\n-1 0\n1 2 0\n"

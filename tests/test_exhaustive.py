@@ -8,13 +8,18 @@ from itertools import product
 
 import pytest
 
-from gen import random_instance
+from gen import all_ppn_formulas, random_instance
+from reference_walk import (
+    exists_strongly_stable_chronologically,
+    strongly_stable_set_chronologically,
+)
 from hrrc.exhaustive import (
     enumerate_feasible,
     exists_strongly_stable,
     strongly_stable_set,
 )
 from hrrc.model import Assignment, example_g2, make_instance
+from hrrc.reductions import ReductionVariant, reduce_ppn
 from hrrc.stability import is_feasible, is_matching, is_strongly_stable
 
 
@@ -110,6 +115,40 @@ def test_exists_agrees_with_set_and_returns_canonical_first():
             assert out.matching == first
         else:
             assert out.status == "none-exists"
+
+
+def test_backjumping_walk_equals_the_chronological_walk():
+    # Tight draws (unit capacities and caps, dense lists) reach none-exists
+    # often enough to check that a jump never skips a strongly stable matching;
+    # the 2-variable PPN reductions catch a jump past a resident who could
+    # fill a blocking pair's hospital or one of its regions.
+    rng = random.Random(37)
+    tight = dict(min_capacity=1, max_capacity=1, max_region_cap=1, edge_prob=0.9)
+    draws = [
+        random_instance(
+            rng,
+            max_residents=5,
+            max_hospitals=5,
+            gamma=rng.choice([None, 2, 3]),
+            disjoint=rng.random() < 0.3,
+            min_region_cap=1,
+            **(tight if draw % 2 else {}),
+        )
+        for draw in range(1500)
+    ]
+    reductions = [
+        reduce_ppn(formula, variant)[0]
+        for formula in all_ppn_formulas(2)
+        for variant in ReductionVariant
+        if variant is not ReductionVariant.ONE_IN_THREE_222
+    ]
+    verdicts = {"found": 0, "none-exists": 0}
+    for inst in draws + reductions:
+        out = exists_strongly_stable(inst)
+        assert out == exists_strongly_stable_chronologically(inst)
+        assert strongly_stable_set(inst) == strongly_stable_set_chronologically(inst)
+        verdicts[out.status] += 1
+    assert verdicts["none-exists"] >= 30, verdicts
 
 
 def test_strongly_stable_set_on_a_deep_instance():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from gen import random_instance
-from hrrc import cli
+from hrrc import cli, model
 from hrrc.cli import main
 from hrrc.exhaustive import strongly_stable_set
 from hrrc.index import InstanceIndex
@@ -178,3 +178,21 @@ def test_solve_222_disjoint_compiles_the_instance_and_each_block(compiles, tmp_p
     assert main(["solve", str(path)]) == 0
     assert len(compiles) == 1 + 2
     assert compiled_once_each(compiles)
+
+
+def test_each_instance_is_classified_once(monkeypatch, tmp_path):
+    computed = []
+    original = model.InstanceClass
+    monkeypatch.setattr(
+        model, "InstanceClass", lambda *params: computed.append(params) or original(*params)
+    )
+    inst = two_blocks_and_a_squeeze()
+    assert dispatch(inst).is_found
+    assert computed == [(2, 2, 2, True)]
+    assert classify(inst) is classify(inst)
+    assert len(computed) == 1
+    path = tmp_path / "blocks.json"
+    path.write_text(save_instance(inst))
+    assert main(["solve", str(path)]) == 0
+    assert len(computed) == 2
+    assert classify(replace(inst, regions=())) == original(2, 2, 0, True)

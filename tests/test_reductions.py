@@ -376,22 +376,53 @@ def test_exhaustive_formula_families_are_all_satisfiable():
 
 
 @pytest.fixture(scope="module")
-def first_unsatisfiable_ppn4():
+def unsatisfiable_ppn4():
     unsatisfiable = [f for f in all_ppn_formulas(4) if sat_brute(f) is None]
     assert len(unsatisfiable) == 15
-    return unsatisfiable[0]
+    return unsatisfiable
 
 
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
-def test_unsatisfiable_ppn_formula_reduces_to_none_exists(variant, first_unsatisfiable_ppn4):
-    instance, _table = reduce_ppn(first_unsatisfiable_ppn4, variant)
-    assert exists_strongly_stable(instance).status == "none-exists"
+def test_unsatisfiable_ppn_formula_reduces_to_none_exists(variant, unsatisfiable_ppn4):
+    for formula in unsatisfiable_ppn4:
+        instance, _table = reduce_ppn(formula, variant)
+        assert exists_strongly_stable(instance).status == "none-exists", formula
 
 
-def test_cli_brute_decides_an_unsatisfiable_reduction(capsys, tmp_path, first_unsatisfiable_ppn4):
+# Unsatisfiable CNFs outside the PPN shape: (x)(-x), and every 2-clause on two variables.
+UNSATISFIABLE_CNFS = [
+    CnfFormula(1, ((1,), (-1,))),
+    CnfFormula(2, ((1, 2), (1, -2), (-1, 2), (-1, -2))),
+]
+
+
+@pytest.mark.parametrize("variant", PPN_VARIANTS)
+def test_unsatisfiable_cnf_normalizes_and_reduces_to_none_exists(variant):
+    for formula in UNSATISFIABLE_CNFS:
+        normalized, _origins = to_ppn(formula)
+        assert sat_brute(normalized) is None
+        instance, _table = reduce_ppn(normalized, variant)
+        assert exists_strongly_stable(instance).status == "none-exists", formula
+
+
+@pytest.mark.parametrize("variant", PPN_VARIANTS)
+def test_eight_variable_outlier_is_decided(variant):
+    # Draw 2 took over 30 s per target (54.9 M nodes on ppn-223) before the
+    # walk learned to backjump; each target now takes milliseconds.
+    rng = random.Random(8)
+    random_ppn_formula(rng, 8)
+    formula = random_ppn_formula(rng, 8)
+    assert sat_brute(formula) is not None
+    instance, _table = reduce_ppn(formula, variant)
+    out = exists_strongly_stable(instance)
+    assert out.is_found
+    assert satisfies(formula, decode_matching(formula, out.matching, variant))
+
+
+def test_cli_brute_decides_an_unsatisfiable_reduction(capsys, tmp_path, unsatisfiable_ppn4):
     from hrrc.cli import main
 
-    formula = first_unsatisfiable_ppn4
+    formula = unsatisfiable_ppn4[0]
     cnf = tmp_path / "unsat.cnf"
     cnf.write_text(
         f"p cnf {formula.num_vars} {len(formula.clauses)}\n"

@@ -17,3 +17,14 @@ def test_solver_oracle_agreement_script():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_reduction_sweep_script_reaches_both_verdicts():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reduction_sweep.py"), "--count", "10"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "(10 satisfiable, 15 unsatisfiable)" in proc.stdout
