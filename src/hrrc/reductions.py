@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from itertools import combinations
 
 from .model import Assignment, Instance, make_instance, require_valid
 
@@ -172,19 +172,62 @@ def satisfies(formula: CnfFormula, assignment: SatAssignment, mode: str = MODE_O
 def sat_brute(
     formula: CnfFormula, mode: str = MODE_ORDINARY, max_vars: int = 20
 ) -> SatAssignment | None:
-    """Lexicographically least satisfying assignment (false < true), or None."""
+    """Lexicographically least satisfying assignment (false < true), or None.
+
+    The search decides variables 1..n in order, False before True, so the
+    first model it reaches is the least one with variable 1 most significant.
+    Each clause is checked once, when its highest variable is set: it fails
+    when no literal is true, or in ``MODE_ONE_IN_THREE`` when the count of
+    true literal occurrences is not exactly one (a repeated literal counts
+    twice).  When both values of a variable fail, the search jumps back to the
+    highest variable below it in the failed clauses, merging the rest of their
+    variables into that variable's conflict set (conflict-directed
+    backjumping); an empty set means no model.  Every skipped subtree holds no
+    model, so the answer is the one a truth table in lexicographic order gives.
+    """
     if mode not in (MODE_ORDINARY, MODE_ONE_IN_THREE):
         raise ValueError(f"unknown satisfaction mode {mode!r}")
     if formula.num_vars > max_vars:
         raise ValueError(
             f"formula has {formula.num_vars} variables, above the brute-force bound {max_vars}"
         )
-    variables = range(1, formula.num_vars + 1)
-    for values in product((False, True), repeat=formula.num_vars):
-        assignment = dict(zip(variables, values))
-        if satisfies(formula, assignment, mode):
-            return assignment
-    return None
+    n = formula.num_vars
+    exactly_one = mode == MODE_ONE_IN_THREE
+    # checks[v]: each clause whose highest variable is v, with a bit mask of its variables.
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n + 1)]
+    for clause in formula.clauses:
+        mask = 0
+        for lit in clause:
+            mask |= 1 << abs(lit)
+        checks[mask.bit_length() - 1].append((clause, mask))
+    value = [False] * (n + 1)
+    # tried[v]: how many of variable v's values have been tried;
+    # conflicts[v]: the variables of the clauses its tried values failed.
+    tried = [0] * (n + 2)
+    conflicts = [0] * (n + 2)
+    v = 1
+    while v <= n:
+        if tried[v] == 2:
+            culprits = conflicts[v] & ((1 << v) - 1)
+            if not culprits:
+                return None
+            v = culprits.bit_length() - 1
+            conflicts[v] |= culprits
+            continue
+        value[v] = tried[v] == 1
+        tried[v] += 1
+        for clause, mask in checks[v]:
+            true = 0
+            for lit in clause:
+                if value[lit] if lit > 0 else not value[-lit]:
+                    true += 1
+            if true == 0 or (exactly_one and true > 1):
+                conflicts[v] |= mask
+                break
+        else:
+            v += 1
+            tried[v] = conflicts[v] = 0
+    return dict(zip(range(1, n + 1), value[1 : n + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -132,20 +132,25 @@ def _slot_partitions(slots: list[tuple[int, int]], sizes: list[int]):
 
     A slot is (variable, sign); blocks may not repeat a (variable, sign)
     pair.  The first remaining slot anchors each block, which suppresses
-    order-duplicate partitions.
+    order-duplicate partitions.  Equal slots sit next to each other, so two
+    blocks with the same slots leave the same sequence behind: only the
+    first of them is expanded.
     """
     if not slots:
         yield []
         return
     anchor = slots[0]
     rest = slots[1:]
+    expanded: set[tuple[tuple[int, int], ...]] = set()
     for size in sorted(set(sizes)):
         remaining_sizes = list(sizes)
         remaining_sizes.remove(size)
         for combo in combinations(range(len(rest)), size - 1):
             block = [anchor] + [rest[k] for k in combo]
-            if len(set(block)) != len(block):
+            key = tuple(block)
+            if key in expanded or len(set(block)) != len(block):
                 continue
+            expanded.add(key)
             left = [rest[k] for k in range(len(rest)) if k not in combo]
             for tail in _slot_partitions(left, remaining_sizes):
                 yield [block] + tail

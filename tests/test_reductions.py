@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 
 import pytest
 
+import reference_sat
 from gen import all_ppn_formulas, random_cnf, random_ppn_formula
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.model import classify
@@ -13,6 +16,7 @@ from hrrc.reductions import (
     CnfFormula,
     DimacsError,
     MODE_ONE_IN_THREE,
+    MODE_ORDINARY,
     ReductionVariant,
     check_one_in_three_positive,
     check_ppn,
@@ -114,6 +118,68 @@ def test_sat_brute_bound():
     big = CnfFormula(25, ((1, 2),))
     with pytest.raises(ValueError, match="bound"):
         sat_brute(big)
+
+
+def assert_equals_truth_table(formula):
+    for mode in (MODE_ORDINARY, MODE_ONE_IN_THREE):
+        assert sat_brute(formula, mode) == reference_sat.sat_brute(formula, mode), (formula, mode)
+
+
+SAT_EDGE_CASES = [
+    (CnfFormula(0, ()), MODE_ORDINARY, {}),
+    # Variables 2 and 4 are in no clause, so they stay False.
+    (CnfFormula(4, ((-1, 3), (1, 3))), MODE_ORDINARY, {1: False, 2: False, 3: True, 4: False}),
+    # A complementary pair satisfies its clause under either value.
+    (CnfFormula(2, ((1, -1), (2,))), MODE_ORDINARY, {1: False, 2: True}),
+    # In one-in-three mode a repeated true literal counts twice.
+    (CnfFormula(2, ((1, 1, 2),)), MODE_ONE_IN_THREE, {1: False, 2: True}),
+    (CnfFormula(1, ((1, 1, 1),)), MODE_ONE_IN_THREE, None),
+    (CnfFormula(3, ((1, 2, 2), (-2, -2, 3))), MODE_ONE_IN_THREE, None),
+    # (x1 -x1 x2) has exactly one true literal iff x2 is False.
+    (CnfFormula(2, ((1, -1, 2),)), MODE_ONE_IN_THREE, {1: False, 2: False}),
+]
+
+
+def test_sat_brute_equals_the_truth_table_on_edge_cases():
+    for formula, mode, expected in SAT_EDGE_CASES:
+        assert sat_brute(formula, mode) == expected, formula
+        assert_equals_truth_table(formula)
+
+
+def test_sat_brute_equals_the_truth_table_on_ppn_formulas():
+    for formula in all_ppn_formulas(2) + all_ppn_formulas(3):
+        assert_equals_truth_table(formula)
+
+
+def test_sat_brute_equals_the_truth_table_on_random_cnfs_and_their_normalizations():
+    rng = random.Random(10)
+    normalized = 0
+    for d in range(3000):
+        formula = random_cnf(rng, max_vars=7, max_clauses=8, clause_sizes=(1, 2, 3))
+        assert_equals_truth_table(formula)
+        # The truth table costs 2^n, so every image of up to 10 variables is
+        # compared, and every 25th draw's image of up to 14.
+        image, _origins = to_ppn(formula)
+        if image.num_vars <= (14 if d % 25 == 0 else 10):
+            assert_equals_truth_table(image)
+            normalized += 1
+    assert normalized > 1000
+
+
+@pytest.mark.parametrize(
+    "formula, expected",
+    [
+        (CnfFormula(20, ((20,), (-20,))), None),
+        (CnfFormula(20, tuple((v,) for v in range(1, 21))), {v: True for v in range(1, 21)}),
+    ],
+    ids=["last-variable-contradiction", "all-unit-positive"],
+)
+def test_sat_brute_is_fast_where_a_truth_table_is_slowest(formula, expected):
+    # A truth table tries all 2^20 assignments on the first formula and the
+    # last one on the second; backjumping needs a few dozen steps on either.
+    start = time.perf_counter()
+    assert sat_brute(formula) == expected
+    assert time.perf_counter() - start < 0.1
 
 
 # --- normalization -----------------------------------------------------------
@@ -373,6 +439,17 @@ def test_exhaustive_formula_families_are_all_satisfiable():
         assert formulas
         assert all(check_ppn(f) == [] for f in formulas)
         assert all(sat_brute(f) is not None for f in formulas)
+
+
+def test_all_ppn_formulas_lists_are_pinned():
+    # Recorded from the generator before it skipped blocks of equal slots:
+    # the same formulas in the same order for n = 2, 3 and 4.
+    digest = hashlib.sha256()
+    for n, count in ((2, 4), (3, 113), (4, 5970)):
+        formulas = all_ppn_formulas(n)
+        assert len(formulas) == count
+        digest.update(repr([f.clauses for f in formulas]).encode())
+    assert digest.hexdigest() == "e7a4b66d6f509a327cf854f6bf48113e567ada51eedae5890fed845dac23f97a"
 
 
 @pytest.fixture(scope="module")
