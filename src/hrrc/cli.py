@@ -70,26 +70,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ALGORITHMS = {
-    "alg1": poly_solvers.solve_regions_size1,
-    "alg2": poly_solvers.solve_res_len1,
-    "alg3": poly_solvers.solve_hosp_len1,
-    "alg4": poly_solvers.solve_2x2_free,
-}
-
-
-def _solve_outcome(instance: Instance, args: argparse.Namespace) -> SolveOutcome:
-    name = args.algorithm
-    if name == "auto":
-        return poly_solvers.dispatch(instance, brute_limit=args.brute_limit)
-    if name == "alg5":
-        return poly_solvers.solve_222_disjoint(instance)
-    if name == "brute":
-        return exhaustive.exists_strongly_stable(instance)
-    solver = _ALGORITHMS[name]
-    return SolveOutcome.found(poly_solvers.certified(instance, solver(instance), solver.__name__))
-
-
 def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
     if args.json:
         payload: dict = {"status": outcome.status}
@@ -115,7 +95,14 @@ def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    return _report_outcome(_solve_outcome(load_instance(_read(args.instance)), args), args)
+    if args.json and args.out:
+        raise InstanceError("--json cannot be combined with --out")
+    instance = load_instance(_read(args.instance))
+    if args.algorithm == "auto":
+        outcome = poly_solvers.dispatch(instance, brute_limit=args.brute_limit)
+    else:
+        outcome = poly_solvers.solve(instance, args.algorithm)
+    return _report_outcome(outcome, args)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -206,6 +193,10 @@ def _reduced_instance(formula: reductions.CnfFormula, args: argparse.Namespace) 
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    if args.json and (args.out or args.occurrences):
+        raise InstanceError("--json cannot be combined with --out or --occurrences")
+    if args.occurrences and args.target == reductions.ReductionVariant.ONE_IN_THREE_222.value:
+        raise InstanceError("--occurrences applies only to ppn-* targets")
     formula = reductions.parse_dimacs(_read(args.cnf))
     _formula, _origins, instance, table = _reduced_instance(formula, args)
     if args.json:
@@ -215,14 +206,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         _emit_json(payload)
         return EXIT_OK
     text = save_instance(instance)
+    # Write the sidecar first: a failed write must not follow a printed instance.
+    if args.occurrences:
+        _write(args.occurrences, json.dumps(table.to_doc(), indent=2) + "\n")
     if args.out:
         _write(args.out, text)
     else:
         print(text, end="")
-    if args.occurrences:
-        if table is None:
-            raise InstanceError("the one-in-three target has no occurrence table")
-        _write(args.occurrences, json.dumps(table.to_doc(), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument(
         "--algorithm",
-        choices=["auto", "alg1", "alg2", "alg3", "alg4", "alg5", "brute"],
+        choices=["auto", *poly_solvers.ALGORITHMS],
         default="auto",
     )
     p.add_argument("--brute-limit", type=int, default=poly_solvers.DEFAULT_BRUTE_LIMIT)

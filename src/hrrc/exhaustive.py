@@ -25,13 +25,10 @@ leaves in the same order as a chronological one.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterable, Iterator
 
 from .model import Assignment, Instance, SolveOutcome
 from .stability import is_strongly_stable
-
-DEFAULT_WARN_LIMIT = 1_000_000
 
 
 class _Search:
@@ -239,18 +236,9 @@ def _certified(search: _Search, matching: Assignment) -> Assignment:
     return matching
 
 
-def enumerate_feasible(
-    instance: Instance, *, warn_limit: int = DEFAULT_WARN_LIMIT
-) -> Iterator[Assignment]:
+def enumerate_feasible(instance: Instance) -> Iterator[Assignment]:
     """Yield every feasible matching exactly once, in canonical order."""
-    for emitted, matching in enumerate(_Search(instance).leaves(), start=1):
-        if emitted == warn_limit + 1:
-            warnings.warn(
-                f"feasible-matching enumeration passed {warn_limit} matchings",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        yield matching
+    yield from _Search(instance).leaves()
 
 
 def strongly_stable_set(instance: Instance) -> set[Assignment]:

@@ -223,15 +223,6 @@ def classify(instance: Instance) -> InstanceClass:
     return instance._class
 
 
-def acceptables(instance: Instance, agent: str) -> set[str]:
-    """The agents acceptable to ``agent`` (its preference list, as a set)."""
-    if agent in instance.resident_prefs:
-        return set(instance.resident_prefs[agent])
-    if agent in instance.hospital_prefs:
-        return set(instance.hospital_prefs[agent])
-    raise InstanceError(f"unknown agent id: {agent!r}")
-
-
 def common_residents(instance: Instance, hospitals: Iterable[str]) -> set[str]:
     """Residents acceptable to every hospital in a non-empty group."""
     hs = list(hospitals)

@@ -13,14 +13,18 @@ exists (or, for the disjoint (2,2,2) class, can be decided):
   ``solve_2x2_free`` runs on the whole instance with the blocks' hospitals
   closed.
 
-``dispatch`` routes an arbitrary instance to the first applicable solver and
-falls back to exhaustive search on small instances.
+The paper's classification is two tables.  ``TRACTABLE`` lists the
+polynomial cells in routing order, and ``HARD`` the least class each
+reduction makes NP-hard; every class is in exactly one of them.  ``dispatch``
+routes an instance to the first tractable cell that admits its class, falls
+back to exhaustive search on small instances, and otherwise names the hard
+cell below the class.  ``solve`` runs one solver by its ``--algorithm`` name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .exhaustive import exists_strongly_stable
 from .hr_core import DeferredAcceptance, rgs, shrunk_capacities
@@ -33,9 +37,76 @@ from .model import (
     classify,
     common_residents,
 )
+from .reductions import ReductionVariant
 from .stability import is_strongly_stable
 
 DEFAULT_BRUTE_LIMIT = 12
+
+# ``--algorithm`` names and the solvers they run.  The table holds names, not
+# functions: ``solve`` looks each one up when called, so rebinding a module
+# attribute (as a tracing wrapper does) reroutes every caller.
+ALGORITHMS = {
+    "alg1": "solve_regions_size1",
+    "alg2": "solve_res_len1",
+    "alg3": "solve_hosp_len1",
+    "alg4": "solve_2x2_free",
+    "alg5": "solve_222_disjoint",
+    "brute": "exists_strongly_stable",
+}
+
+
+@dataclass(frozen=True)
+class TractableCell:
+    """Classes ``algorithm`` decides in polynomial time, as ``admits`` and ``condition`` state."""
+
+    algorithm: str
+    condition: str
+    admits: Callable[[InstanceClass], bool]
+
+
+@dataclass(frozen=True)
+class HardCell:
+    """The least class ``reduction`` makes NP-hard, and the ``witness`` text naming it."""
+
+    least: InstanceClass
+    reduction: ReductionVariant
+    witness: str
+
+    def covers(self, cls: InstanceClass) -> bool:
+        """Whether ``cls`` is at or above ``least``: overlapping regions count as above disjoint."""
+        c = self.least
+        return (cls.alpha >= c.alpha and cls.beta >= c.beta and cls.gamma >= c.gamma
+                and (c.disjoint or not cls.disjoint))
+
+
+# The polynomial cells, in the order dispatch tries them.
+TRACTABLE = (
+    TractableCell("alg1", "regions of size at most 1", lambda c: c.gamma <= 1),
+    TractableCell("alg2", "resident lists of length at most 1", lambda c: c.alpha <= 1),
+    TractableCell("alg3", "hospital lists of length at most 1", lambda c: c.beta <= 1),
+    TractableCell("alg5", "a disjoint (2,2,2) instance",
+                  lambda c: c.alpha <= 2 and c.beta <= 2 and c.gamma <= 2 and c.disjoint),
+)
+
+# One cell per reduction; an unknown verdict names the first that covers its class.
+HARD = (
+    HardCell(InstanceClass(2, 2, 2, False), ReductionVariant.ONE_IN_THREE_222,
+             "overlapping regions with all parameters at 2"),
+    HardCell(InstanceClass(2, 2, 3, True), ReductionVariant.PPN_223,
+             "disjoint regions at parameters (2, 2, 3)"),
+    HardCell(InstanceClass(2, 3, 2, True), ReductionVariant.PPN_232,
+             "disjoint regions at parameters (2, 3, 2)"),
+    HardCell(InstanceClass(3, 2, 2, True), ReductionVariant.PPN_322,
+             "disjoint regions at parameters (3, 2, 2)"),
+)
+
+
+def _require_class(instance: Instance, algorithm: str) -> None:
+    """Raise :class:`ValueError` unless ``algorithm``'s tractable cell admits ``instance``."""
+    cls = classify(instance)
+    cell = next(cell for cell in TRACTABLE if cell.algorithm == algorithm)
+    if not cell.admits(cls):
+        raise ValueError(f"solver requires {cell.condition}, got {cls}")
 
 
 @dataclass(frozen=True)
@@ -68,9 +139,7 @@ def solve_regions_size1(instance: Instance) -> Assignment:
     Folding each singleton cap into its hospital's capacity reduces the
     problem to plain deferred acceptance.
     """
-    cls = classify(instance)
-    if cls.gamma > 1:
-        raise ValueError(f"solver requires regions of size at most 1, got gamma={cls.gamma}")
+    _require_class(instance, "alg1")
     capacities = dict(instance.capacities)
     for reg in instance.regions:
         (h,) = reg.hospitals
@@ -102,9 +171,7 @@ def solve_res_len1(instance: Instance) -> Assignment:
     Each hospital greedily takes the best residents on its list while its own
     capacity and every region containing it stay strictly under their caps.
     """
-    cls = classify(instance)
-    if cls.alpha > 1:
-        raise ValueError(f"solver requires resident lists of length at most 1, got alpha={cls.alpha}")
+    _require_class(instance, "alg2")
     prefs = instance.hospital_prefs
     return _greedy(instance, ((r, h) for h in instance.hospitals for r in prefs[h]))
 
@@ -115,9 +182,7 @@ def solve_hosp_len1(instance: Instance) -> Assignment:
     Each resident takes the best hospital on its list whose capacity and
     containing regions all have room.
     """
-    cls = classify(instance)
-    if cls.beta > 1:
-        raise ValueError(f"solver requires hospital lists of length at most 1, got beta={cls.beta}")
+    _require_class(instance, "alg3")
     prefs = instance.resident_prefs
     return _greedy(instance, ((r, h) for r in instance.residents for h in prefs[r]))
 
@@ -199,15 +264,7 @@ def solve_2x2_free(instance: Instance) -> Assignment:
 
     Each squeeze lowers the total capacity, so the loop ends.
     """
-    cls = classify(instance)
-    if not cls.disjoint:
-        raise ValueError("solver requires disjoint regions")
-    if cls.alpha > 2:
-        raise ValueError(f"solver requires resident lists of length at most 2, got alpha={cls.alpha}")
-    if cls.beta > 2:
-        raise ValueError(f"solver requires hospital lists of length at most 2, got beta={cls.beta}")
-    if cls.gamma > 2:
-        raise ValueError(f"solver requires regions of size at most 2, got gamma={cls.gamma}")
+    _require_class(instance, "alg5")
     if any(instance.capacities[h] > 2 for h in instance.hospitals):
         raise ValueError("solver requires hospital capacities of at most 2")
     for reg in instance.regions:
@@ -290,9 +347,7 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     block residents then stay unmatched, and the other agents never meet
     them, so they get the matching the loop gives on the block-free rest.
     """
-    cls = classify(instance)
-    if not (cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint):
-        raise ValueError(f"solver requires a disjoint (2,2,2) instance, got {cls}")
+    _require_class(instance, "alg5")
     subs = find_2x2_subinstances(instance)
     block_pairs: list[tuple[str, str]] = []
     capacities = shrunk_capacities(instance)
@@ -308,44 +363,37 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint"))
 
 
-def _hardness_note(cls: InstanceClass) -> str:
-    if not cls.disjoint:
-        witness = "overlapping regions with all parameters at 2"
-    elif cls.gamma >= 3:
-        witness = "disjoint regions at parameters (2, 2, 3)"
-    elif cls.beta >= 3:
-        witness = "disjoint regions at parameters (2, 3, 2)"
-    else:
-        witness = "disjoint regions at parameters (3, 2, 2)"
-    return (
-        f"no polynomial-time solver covers class {cls}: deciding existence of a "
-        f"strongly stable matching is NP-hard already for {witness}"
-    )
+def solve(instance: Instance, algorithm: str) -> SolveOutcome:
+    """Run the solver that ``algorithm`` names in :data:`ALGORITHMS`.
+
+    A found matching is certified strongly stable.  Raises
+    :class:`ValueError` if the instance is outside the solver's class.
+    """
+    name = ALGORITHMS[algorithm]
+    result = globals()[name](instance)
+    if isinstance(result, SolveOutcome):  # solve_222_disjoint and the oracle certify their own
+        return result
+    return SolveOutcome.found(certified(instance, result, name))
 
 
 def dispatch(instance: Instance, brute_limit: int = DEFAULT_BRUTE_LIMIT) -> SolveOutcome:
-    """Route an instance to the first applicable solver.
+    """Route an instance to the first cell of :data:`TRACTABLE` that admits its class.
 
-    Priority: singleton regions, unit resident lists, unit hospital lists,
-    disjoint (2,2,2), then exhaustive search when the instance has at most
-    ``brute_limit`` agents in total.  A found matching is always certified
-    strongly stable.
+    A class no cell admits goes to exhaustive search when the instance has at
+    most ``brute_limit`` agents in total; otherwise the verdict is unknown,
+    naming the :data:`HARD` cell below the class.  A found matching is always
+    certified strongly stable.
     """
     cls = classify(instance)
-    for applies, solver in (
-        (cls.gamma <= 1, solve_regions_size1),
-        (cls.alpha <= 1, solve_res_len1),
-        (cls.beta <= 1, solve_hosp_len1),
-    ):
-        if applies:
-            matching = solver(instance)
-            return SolveOutcome.found(certified(instance, matching, solver.__name__))
-    if cls.alpha <= 2 and cls.beta <= 2 and cls.gamma <= 2 and cls.disjoint:
-        return solve_222_disjoint(instance)
-    if len(instance.residents) + len(instance.hospitals) <= brute_limit:
+    for cell in TRACTABLE:
+        if cell.admits(cls):
+            return solve(instance, cell.algorithm)
+    agents = len(instance.residents) + len(instance.hospitals)
+    if agents <= brute_limit:
         return exists_strongly_stable(instance)
+    hard = next(cell for cell in HARD if cell.covers(cls))
     return SolveOutcome.unknown(
-        _hardness_note(cls)
-        + f"; instance has {len(instance.residents) + len(instance.hospitals)} agents, "
-        + f"above the brute-force limit of {brute_limit}"
+        f"no polynomial-time solver covers class {cls}: deciding existence of a "
+        f"strongly stable matching is NP-hard already for {hard.witness}; "
+        f"instance has {agents} agents, above the brute-force limit of {brute_limit}"
     )

@@ -24,13 +24,10 @@ from typing import Iterable, Iterator
 
 from .model import Assignment, Instance
 
-KIND_BP = "BP"
-KIND_SBP = "SBP"
-
 
 @dataclass(frozen=True)
 class BlockingWitness:
-    """A blocking pair annotated with the strong-blocking conditions it meets.
+    """A strong blocking pair annotated with the conditions it meets.
 
     ``move_feasible`` records that reassigning the resident to the hospital
     keeps all regional caps; ``displaced`` names the hospital's worst current
@@ -39,14 +36,11 @@ class BlockingWitness:
 
     resident: str
     hospital: str
-    kind: str = KIND_BP
     move_feasible: bool = False
     displaced: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_BP, KIND_SBP):
-            raise ValueError(f"unknown witness kind {self.kind!r}")
-        if self.kind == KIND_SBP and not (self.move_feasible or self.displaced is not None):
+        if not (self.move_feasible or self.displaced is not None):
             raise ValueError("an SBP witness must satisfy at least one condition")
 
     @property
@@ -214,7 +208,7 @@ def _witnesses(
         displaced = worst[h] if hrank[h][r] < worst_rank[h] else None
         move_ok = _move_feasible(state, r, h)
         if displaced is not None or move_ok:
-            yield BlockingWitness(r, h, KIND_SBP, move_feasible=move_ok, displaced=displaced)
+            yield BlockingWitness(r, h, move_feasible=move_ok, displaced=displaced)
 
 
 def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:
@@ -224,14 +218,6 @@ def matching_violations(instance: Instance, assignment: Assignment) -> list[str]
 
 def is_matching(instance: Instance, assignment: Assignment) -> bool:
     return not matching_violations(instance, assignment)
-
-
-def region_load(instance: Instance, assignment: Assignment, region: Iterable[str]) -> int:
-    """Number of distinct residents assigned inside a declared region."""
-    members = frozenset(region)
-    if not any(reg.hospitals == members for reg in instance.regions):
-        raise ValueError(f"unknown region {sorted(members)}")
-    return len({r for r, h in assignment.pairs if h in members})
 
 
 def is_feasible(instance: Instance, matching: Assignment) -> bool:

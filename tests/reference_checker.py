@@ -12,7 +12,7 @@ a differential test needs.  Function names and error behaviour mirror
 from __future__ import annotations
 
 from hrrc.model import Assignment, Instance
-from hrrc.stability import KIND_SBP, BlockingWitness
+from hrrc.stability import BlockingWitness
 
 
 def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:
@@ -92,7 +92,7 @@ def strong_blocking_pairs(instance: Instance, matching: Assignment) -> list[Bloc
         displaced = max(worse, key=lambda r2: hrank[h][r2]) if worse else None
         move_ok = _move_is_feasible(instance, matching, r, h)
         if displaced is not None or move_ok:
-            out.append(BlockingWitness(r, h, KIND_SBP, move_feasible=move_ok, displaced=displaced))
+            out.append(BlockingWitness(r, h, move_feasible=move_ok, displaced=displaced))
     return out
 
 

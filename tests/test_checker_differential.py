@@ -19,7 +19,7 @@ import reference_checker as ref
 from gen import random_instance, random_matching_pairs
 from hrrc import stability
 from hrrc.model import Assignment, make_instance
-from hrrc.stability import KIND_SBP, BlockingWitness
+from hrrc.stability import BlockingWitness
 
 
 def outcome(func, *args):
@@ -126,7 +126,7 @@ def test_move_inside_one_region(extra_regions, move_feasible):
     assert_agree(instance, matching)
     assert stability.blocking_pairs(instance, matching) == [("r", "h1")]
     expected = (
-        [BlockingWitness("r", "h1", KIND_SBP, move_feasible=True)] if move_feasible else []
+        [BlockingWitness("r", "h1", move_feasible=True)] if move_feasible else []
     )
     assert stability.strong_blocking_pairs(instance, matching) == expected
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,52 @@ def test_reduce_normalize_ppn_accepts_plain_3sat(capsys, tmp_path):
     # Without normalization the same file is rejected.
     code, _, err = run(capsys, "reduce", str(cnf), "--target", "ppn-223")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["reduce", "ppn.cnf", "--target", "ppn-223", "--json", "--out", "i.json",
+          "--occurrences", "o.json"], "--json cannot be combined with --out or --occurrences"),
+        (["reduce", "ppn.cnf", "--target", "ppn-223", "--json", "--occurrences", "o.json"],
+         "--json cannot be combined with --out or --occurrences"),
+        (["reduce", "clause.cnf", "--target", "one-in-three-222", "--json", "--out", "i.json"],
+         "--json cannot be combined with --out or --occurrences"),
+        (["solve", "cap2.json", "--json", "--out", "m.json"],
+         "--json cannot be combined with --out"),
+        (["reduce", "clause.cnf", "--target", "one-in-three-222", "--occurrences", "o.json"],
+         "--occurrences applies only to ppn-* targets"),
+        (["reduce", "clause.cnf", "--target", "one-in-three-222", "--out", "i.json",
+          "--occurrences", "o.json"], "--occurrences applies only to ppn-* targets"),
+    ],
+    ids=[
+        "reduce-json-out-occurrences",
+        "reduce-json-occurrences",
+        "reduce-json-out",
+        "solve-json-out",
+        "one-in-three-occurrences",
+        "one-in-three-out-occurrences",
+    ],
+)
+def test_unwritable_output_combinations_are_rejected_before_any_output(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("ppn.cnf").write_text("p cnf 3 3\n-1 2 3 0\n1 -2 3 0\n1 2 -3 0\n")
+    Path("clause.cnf").write_text("p cnf 3 1\n1 2 3 0\n")
+    _cap2_file(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not any(Path(name).exists() for name in ("i.json", "o.json", "m.json"))
+
+
+def test_reduce_unwritable_sidecar_prints_nothing(capsys, tmp_path):
+    cnf = tmp_path / "ppn.cnf"
+    cnf.write_text("p cnf 3 3\n-1 2 3 0\n1 -2 3 0\n1 2 -3 0\n")
+    missing = str(tmp_path / "missing" / "o.json")
+    code, out, err = run(capsys, "reduce", str(cnf), "--target", "ppn-223", "--occurrences", missing)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
 
 
 def test_decode_full_chain(capsys, tmp_path):

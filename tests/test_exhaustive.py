@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 from itertools import product
 
 import pytest
@@ -158,17 +157,6 @@ def test_strongly_stable_set_on_a_deep_instance():
         hospitals=[(f"h{i}", 1, [f"r{i}"]) for i in range(n)],
     )
     assert strongly_stable_set(deep) == {Assignment.of((f"r{i}", f"h{i}") for i in range(n))}
-
-
-def test_count_overflow_warning():
-    inst = make_instance(
-        residents=[(f"r{i}", ["h"]) for i in range(3)],
-        hospitals=[("h", 3, [f"r{i}" for i in range(3)])],
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        list(enumerate_feasible(inst, warn_limit=2))
-    assert any("enumeration passed" in str(w.message) for w in caught)
 
 
 def test_final_certificate_failure_raises(monkeypatch):

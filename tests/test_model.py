@@ -13,7 +13,6 @@ from hrrc.model import (
     Assignment,
     InstanceError,
     Region,
-    acceptables,
     classify,
     common_residents,
     example_g2,
@@ -108,20 +107,10 @@ def test_classify_rejects_invalid_instance():
         classify(bad)
 
 
-def test_acceptables():
-    g2 = example_g2()
-    assert acceptables(g2, "h1") == {"r1", "r2"}
-    assert acceptables(g2, "r2") == {"h1", "h2"}
-    empty = make_instance(residents=[("r", [])], hospitals=[("h", 1, [])])
-    assert acceptables(empty, "r") == set()
-    with pytest.raises(InstanceError):
-        acceptables(g2, "nobody")
-
-
 def test_common_residents():
     g2 = example_g2()
     assert common_residents(g2, ["h1", "h2"]) == {"r1", "r2"}
-    assert common_residents(g2, ["h1"]) == acceptables(g2, "h1")
+    assert common_residents(g2, ["h1"]) == set(g2.hospital_prefs["h1"])
     with pytest.raises(InstanceError):
         common_residents(g2, [])
     disjoint_lists = make_instance(

@@ -1,10 +1,12 @@
-"""The four polynomial solvers and the dispatcher."""
+"""The polynomial solvers, the classification table and the dispatcher."""
 
 from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,18 @@ import pytest
 from gen import TIGHT_2X2, random_instance
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.hr_core import DeferredAcceptance, rgs
-from hrrc.model import Assignment, Region, example_g2, instance_from_doc, make_instance
+from hrrc.model import (
+    Assignment,
+    InstanceClass,
+    Region,
+    classify,
+    example_g2,
+    instance_from_doc,
+    make_instance,
+)
 from hrrc.poly_solvers import (
+    HARD,
+    TRACTABLE,
     dispatch,
     find_2x2_subinstances,
     solve_222_disjoint,
@@ -22,6 +34,7 @@ from hrrc.poly_solvers import (
     solve_regions_size1,
     solve_res_len1,
 )
+from hrrc.reductions import CnfFormula, ReductionVariant, reduce_oneinthree, reduce_ppn
 from hrrc.stability import blocking_pairs, is_strongly_stable, strong_blocking_pairs
 from reference_capacity_loop import solve_2x2_free_by_reruns, squeeze_by_reruns
 
@@ -29,6 +42,14 @@ from reference_capacity_loop import solve_2x2_free_by_reruns, squeeze_by_reruns
 def g2_with_cap(cap):
     g2 = example_g2()
     return replace(g2, regions=(Region(frozenset({"h1", "h2"}), cap),))
+
+
+G2_CLASS = InstanceClass(2, 2, 2, True)
+
+
+def guard_message(condition, cls):
+    """The class guard's message, as a pattern for ``pytest.raises``."""
+    return re.escape(f"solver requires {condition}, got {cls}")
 
 
 # --- singleton regions -----------------------------------------------------
@@ -65,7 +86,7 @@ def test_regions_size1_equals_rgs_on_trimmed_instance():
 
 
 def test_regions_size1_rejects_g2():
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(ValueError, match=guard_message("regions of size at most 1", G2_CLASS)):
         solve_regions_size1(example_g2())
 
 
@@ -101,7 +122,9 @@ def test_res_len1_zero_capacities():
 
 
 def test_res_len1_rejects_long_lists():
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(
+        ValueError, match=guard_message("resident lists of length at most 1", G2_CLASS)
+    ):
         solve_res_len1(example_g2())
 
 
@@ -131,7 +154,9 @@ def test_hosp_len1_zero_capacity_and_independent_residents():
 
 
 def test_hosp_len1_rejects_long_lists():
-    with pytest.raises(ValueError, match="beta"):
+    with pytest.raises(
+        ValueError, match=guard_message("hospital lists of length at most 1", G2_CLASS)
+    ):
         solve_hosp_len1(example_g2())
 
 
@@ -198,6 +223,15 @@ def test_solve_2x2_free_rejects_blocks_and_big_caps():
     )
     with pytest.raises(ValueError, match="capacities"):
         solve_2x2_free(big)
+    overlapping = make_instance(
+        residents=[("r", ["h1", "h2"])],
+        hospitals=[("h1", 1, ["r"]), ("h2", 1, ["r"])],
+        regions=[({"h1", "h2"}, 1), ({"h1"}, 1)],
+    )
+    with pytest.raises(ValueError, match=guard_message(
+        "a disjoint (2,2,2) instance", InstanceClass(2, 1, 2, False)
+    )):
+        solve_2x2_free(overlapping)
 
 
 # --- the capacity loop against the rerun reference ---------------------------
@@ -397,7 +431,9 @@ def test_solve_222_disjoint_rejects_wrong_class():
         hospitals=[("h1", 1, ["r"]), ("h2", 1, ["r"])],
         regions=[({"h1", "h2"}, 1), ({"h1"}, 1)],
     )
-    with pytest.raises(ValueError, match="disjoint"):
+    with pytest.raises(ValueError, match=guard_message(
+        "a disjoint (2,2,2) instance", InstanceClass(2, 1, 2, False)
+    )):
         solve_222_disjoint(overlapping)
 
 
@@ -497,7 +533,11 @@ def test_dispatch_reports_unknown_above_limit():
     )
     out = dispatch(inst, brute_limit=4)
     assert out.status == "unknown"
-    assert "NP-hard" in out.reason
+    assert out.reason == (
+        "no polynomial-time solver covers class (alpha=2, beta=2, gamma=2, overlapping regions): "
+        "deciding existence of a strongly stable matching is NP-hard already for overlapping "
+        "regions with all parameters at 2; instance has 14 agents, above the brute-force limit of 4"
+    )
     # The same instance is decidable when the limit allows it.
     assert dispatch(inst, brute_limit=64).status in ("found", "none-exists")
 
@@ -511,6 +551,82 @@ def test_dispatch_outcomes_match_oracle_on_mixed_instances():
         assert out.status == oracle.status
         if out.is_found:
             assert is_strongly_stable(inst, out.matching)
+
+
+# --- the classification table ------------------------------------------------
+
+ALL_CLASSES = [
+    InstanceClass(alpha, beta, gamma, disjoint)
+    for alpha, beta, gamma in product(range(4), repeat=3)
+    for disjoint in (True, False)
+]
+
+
+def hard_cell(cls):
+    """The first HARD cell at or below ``cls``: the one an unknown verdict names."""
+    return next((cell for cell in HARD if cell.covers(cls)), None)
+
+
+def test_every_class_is_tractable_or_hard_and_never_both():
+    tractable = {cls for cls in ALL_CLASSES if any(cell.admits(cls) for cell in TRACTABLE)}
+    hard = {cls for cls in ALL_CLASSES if hard_cell(cls) is not None}
+    assert not tractable & hard
+    assert tractable | hard == set(ALL_CLASSES)
+    assert (len(tractable), len(hard)) == (113, 15)
+    assert sorted(cell.reduction.name for cell in HARD) == sorted(ReductionVariant.__members__)
+
+
+def chained_witness(cls):
+    """The hard class an unknown verdict names, as an if chain over the parameters."""
+    if not cls.disjoint:
+        return "overlapping regions with all parameters at 2"
+    if cls.gamma >= 3:
+        return "disjoint regions at parameters (2, 2, 3)"
+    if cls.beta >= 3:
+        return "disjoint regions at parameters (2, 3, 2)"
+    return "disjoint regions at parameters (3, 2, 2)"
+
+
+def test_each_hard_class_names_the_chained_witness():
+    for cls in ALL_CLASSES:
+        cell = hard_cell(cls)
+        if cell is not None:
+            assert cell.witness == chained_witness(cls), cls
+
+
+def test_dispatch_names_each_reductions_hard_cell():
+    ppn = CnfFormula(3, ((-1, 2, 3), (1, -2, 3), (1, 2, -3)))
+    for cell in HARD:
+        if cell.reduction is ReductionVariant.ONE_IN_THREE_222:
+            inst = reduce_oneinthree(CnfFormula(3, ((1, 2, 3),)))
+        else:
+            inst, _ = reduce_ppn(ppn, cell.reduction)
+        assert classify(inst) == cell.least
+        out = dispatch(inst, brute_limit=0)
+        assert out.status == "unknown"
+        assert out.reason.startswith(
+            f"no polynomial-time solver covers class {cell.least}: deciding existence of a "
+            f"strongly stable matching is NP-hard already for {cell.witness}; "
+        )
+
+
+def test_dispatch_and_solve_call_solvers_through_module_attributes(monkeypatch):
+    """A wrapper bound to a solver's module attribute, as a tracer binds one, sees every call."""
+    import hrrc.poly_solvers as poly_solvers
+
+    calls = []
+    for name in ("solve_regions_size1", "solve_222_disjoint"):
+        def recorder(instance, name=name, solver=getattr(poly_solvers, name)):
+            calls.append(name)
+            return solver(instance)
+
+        monkeypatch.setattr(poly_solvers, name, recorder)
+    gamma0 = make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, ["r"])])
+    assert dispatch(gamma0).matching == Assignment.of([("r", "h")])
+    assert poly_solvers.solve(gamma0, "alg1") == dispatch(gamma0)
+    assert dispatch(example_g2()).status == "none-exists"
+    assert poly_solvers.solve(example_g2(), "alg5").status == "none-exists"
+    assert calls == ["solve_regions_size1"] * 3 + ["solve_222_disjoint"] * 2
 
 
 # --- internal consistency checks raise, whatever the interpreter flags -------

@@ -12,6 +12,7 @@ import reference_sat
 from gen import all_ppn_formulas, random_cnf, random_ppn_formula
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.model import classify
+from hrrc.poly_solvers import HARD
 from hrrc.reductions import (
     CnfFormula,
     DimacsError,
@@ -33,6 +34,8 @@ from hrrc.reductions import (
 from hrrc.stability import is_strongly_stable
 
 PPN_VARIANTS = [ReductionVariant.PPN_223, ReductionVariant.PPN_232, ReductionVariant.PPN_322]
+# The class each reduction's output must have: the least class it makes NP-hard.
+ADVERTISED = {cell.reduction: cell.least for cell in HARD}
 
 # Three 3-clauses over three variables; variable i is negated in clause i.
 PPN_3X3 = CnfFormula(3, ((-1, 2, 3), (1, -2, 3), (1, 2, -3)))
@@ -250,8 +253,7 @@ def test_reduce_oneinthree_counts():
     assert len(inst.residents) == 5
     assert len(inst.hospitals) == 5
     assert len(inst.regions) == 10
-    cls = classify(inst)
-    assert cls.alpha <= 2 and cls.beta <= 2 and cls.gamma == 2
+    assert classify(inst) == ADVERTISED[ReductionVariant.ONE_IN_THREE_222]
 
 
 def test_reduce_oneinthree_shared_variable_regions_are_deduplicated():
@@ -314,13 +316,6 @@ def ppn_expected_counts(formula, variant):
     return (4 * n + 3 * m2 + 6 * m3 + 2 * m, 5 * n + 3 * m2 + 6 * m3 + 2 * m, n + m)
 
 
-ADVERTISED = {
-    ReductionVariant.PPN_223: (2, 2, 3),
-    ReductionVariant.PPN_232: (2, 3, 2),
-    ReductionVariant.PPN_322: (3, 2, 2),
-}
-
-
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
 def test_reduce_ppn_counts_on_three_clause_formula(variant):
     inst, _ = reduce_ppn(PPN_3X3, variant)
@@ -342,9 +337,7 @@ def test_reduce_ppn_counts_and_class_on_random_shapes(variant):
         inst, _ = reduce_ppn(f, variant)
         counts = (len(inst.residents), len(inst.hospitals), len(inst.regions))
         assert counts == ppn_expected_counts(f, variant)
-        cls = classify(inst)
-        assert (cls.alpha, cls.beta, cls.gamma) == ADVERTISED[variant]
-        assert cls.disjoint
+        assert classify(inst) == ADVERTISED[variant]
 
 
 def test_reduce_ppn_rejects_bad_input():

@@ -18,7 +18,6 @@ from hrrc.stability import (
     is_matching,
     is_strongly_stable,
     matching_violations,
-    region_load,
     strong_blocking_pairs,
 )
 
@@ -26,15 +25,6 @@ from hrrc.stability import (
 def g2_with_cap(cap: int):
     g2 = example_g2()
     return replace(g2, regions=(Region(frozenset({"h1", "h2"}), cap),))
-
-
-def test_region_load():
-    g2 = example_g2()
-    assert region_load(g2, Assignment.of([("r1", "h1")]), {"h1", "h2"}) == 1
-    assert region_load(g2, Assignment(), {"h1", "h2"}) == 0
-    assert region_load(g2, Assignment.of([("r1", "h1"), ("r2", "h2")]), {"h1", "h2"}) == 2
-    with pytest.raises(ValueError, match="unknown region"):
-        region_load(g2, Assignment(), {"h1"})
 
 
 def test_is_feasible():
@@ -120,10 +110,8 @@ def test_all_five_feasible_g2_matchings_fail():
 
 def test_witness_invariant():
     with pytest.raises(ValueError):
-        BlockingWitness("r", "h", "SBP")
-    with pytest.raises(ValueError):
-        BlockingWitness("r", "h", "weird")
-    w = BlockingWitness("r", "h", "SBP", move_feasible=True)
+        BlockingWitness("r", "h")
+    w = BlockingWitness("r", "h", move_feasible=True)
     assert w.conditions() == ["move-feasible"]
 
 
