@@ -24,6 +24,10 @@ Document formats (UTF-8 JSON):
 * matching::
 
       {"pairs": [["r1", "h1"], ...]}
+
+The writers build document text directly, line by line; it is byte-identical
+to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers raise
+:class:`InstanceError` naming the first fault they find.
 """
 
 from __future__ import annotations
@@ -254,11 +258,44 @@ def example_g2() -> Instance:
 
 # ---------------------------------------------------------------------------
 # Serialization
+#
+# The writers lay a document out exactly as ``json.dumps(doc, indent=2)``
+# does, but build its lines directly: with ``indent`` set, ``json`` runs its
+# pure-Python encoder, which cost most of a writer's time.  Strings are escaped
+# by the C function that encoder calls itself.
+
+_escape = json.encoder.encode_basestring_ascii
+# Line breaks with the indentation of each depth a writer's arrays reach, and
+# the item separators built from them.
+_BREAK = tuple("\n" + "  " * depth for depth in range(5))
+_SEPARATOR = tuple("," + line for line in _BREAK)
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise InstanceError(message)
+def _value(value: object, depth: int) -> str:
+    """``value`` as ``json.dumps(indent=2)`` renders it ``depth`` levels deep."""
+    if isinstance(value, str):
+        return _escape(value)
+    if type(value) is int:
+        return repr(value)
+    # A bool, float, None or container, which only an instance built through
+    # the API can hold; a container spans lines, each indented to ``depth``.
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _array(items: list[str], depth: int) -> str:
+    """Rendered items as a JSON array ``depth`` levels deep, one item per line."""
+    if not items:
+        return "[]"
+    return "[" + _BREAK[depth + 1] + _SEPARATOR[depth + 1].join(items) + _BREAK[depth] + "]"
+
+
+def _ids(ids: Sequence[object], depth: int) -> str:
+    """An array of agent ids ``depth`` levels deep."""
+    try:
+        items = list(map(_escape, ids))
+    except TypeError:  # a non-str id: possible only in an instance built through the API
+        items = [_value(x, depth + 1) for x in ids]
+    return _array(items, depth)
 
 
 def instance_to_doc(instance: Instance) -> dict:
@@ -281,69 +318,113 @@ def instance_to_doc(instance: Instance) -> dict:
 
 
 def save_instance(instance: Instance) -> str:
-    """Render an instance document; inverse of :func:`load_instance`."""
-    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
+    """Render an instance document; inverse of :func:`load_instance`.
+
+    The text is ``json.dumps(instance_to_doc(instance), indent=2)`` plus a
+    newline, byte for byte.
+    """
+    resident_prefs = instance.resident_prefs
+    hospital_prefs = instance.hospital_prefs
+    capacities = instance.capacities
+    residents = [
+        '{\n      "id": ' + _value(r, 3)
+        + ',\n      "prefs": ' + _ids(resident_prefs[r], 3)
+        + "\n    }"
+        for r in instance.residents
+    ]
+    hospitals = [
+        '{\n      "id": ' + _value(h, 3)
+        + ',\n      "capacity": ' + _value(capacities[h], 3)
+        + ',\n      "prefs": ' + _ids(hospital_prefs[h], 3)
+        + "\n    }"
+        for h in instance.hospitals
+    ]
+    regions = [
+        '{\n      "hospitals": ' + _ids(sorted(reg.hospitals), 3)
+        + ',\n      "cap": ' + _value(reg.cap, 3)
+        + "\n    }"
+        for reg in instance.regions
+    ]
+    return (
+        '{\n  "residents": ' + _array(residents, 1)
+        + ',\n  "hospitals": ' + _array(hospitals, 1)
+        + ',\n  "regions": ' + _array(regions, 1)
+        + "\n}\n"
+    )
+
+
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def instance_from_doc(doc: object) -> Instance:
-    _require(isinstance(doc, dict), "instance document must be a JSON object")
-    assert isinstance(doc, dict)
+    # Each message is built only when its check fails: a document runs
+    # hundreds of checks and almost never shows one.
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
     unknown = set(doc) - {"residents", "hospitals", "regions"}
-    _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    if unknown:
+        raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
 
     residents: list[tuple[str, list[str]]] = []
     raw_res = doc.get("residents", [])
-    _require(isinstance(raw_res, list), "'residents' must be an array")
+    if not isinstance(raw_res, list):
+        raise InstanceError("'residents' must be an array")
     for k, entry in enumerate(raw_res):
-        _require(isinstance(entry, dict), f"residents[{k}] must be an object")
-        _require("id" in entry, f"residents[{k}] is missing 'id'")
+        if not isinstance(entry, dict):
+            raise InstanceError(f"residents[{k}] must be an object")
+        if "id" not in entry:
+            raise InstanceError(f"residents[{k}] is missing 'id'")
         rid = entry["id"]
-        _require(isinstance(rid, str), f"residents[{k}].id must be a string")
+        if not isinstance(rid, str):
+            raise InstanceError(f"residents[{k}].id must be a string")
         prefs = entry.get("prefs", [])
-        _require(
-            isinstance(prefs, list) and all(isinstance(p, str) for p in prefs),
-            f"residents[{k}].prefs must be an array of strings",
-        )
+        if not _is_strings(prefs):
+            raise InstanceError(f"residents[{k}].prefs must be an array of strings")
         residents.append((rid, prefs))
 
     hospitals: list[tuple[str, int, list[str]]] = []
     raw_hosp = doc.get("hospitals", [])
-    _require(isinstance(raw_hosp, list), "'hospitals' must be an array")
+    if not isinstance(raw_hosp, list):
+        raise InstanceError("'hospitals' must be an array")
     for k, entry in enumerate(raw_hosp):
-        _require(isinstance(entry, dict), f"hospitals[{k}] must be an object")
-        _require("id" in entry, f"hospitals[{k}] is missing 'id'")
+        if not isinstance(entry, dict):
+            raise InstanceError(f"hospitals[{k}] must be an object")
+        if "id" not in entry:
+            raise InstanceError(f"hospitals[{k}] is missing 'id'")
         hid = entry["id"]
-        _require(isinstance(hid, str), f"hospitals[{k}].id must be a string")
+        if not isinstance(hid, str):
+            raise InstanceError(f"hospitals[{k}].id must be a string")
         cap = entry.get("capacity")
-        _require(
-            isinstance(cap, int) and not isinstance(cap, bool),
-            f"hospitals[{k}].capacity must be an integer",
-        )
+        if not _is_int(cap):
+            raise InstanceError(f"hospitals[{k}].capacity must be an integer")
         prefs = entry.get("prefs", [])
-        _require(
-            isinstance(prefs, list) and all(isinstance(p, str) for p in prefs),
-            f"hospitals[{k}].prefs must be an array of strings",
-        )
+        if not _is_strings(prefs):
+            raise InstanceError(f"hospitals[{k}].prefs must be an array of strings")
         hospitals.append((hid, cap, prefs))
 
-    _require(len({r for r, _ in residents}) == len(residents), "duplicate resident id")
-    _require(len({h for h, _, _ in hospitals}) == len(hospitals), "duplicate hospital id")
+    if len({r for r, _ in residents}) != len(residents):
+        raise InstanceError("duplicate resident id")
+    if len({h for h, _, _ in hospitals}) != len(hospitals):
+        raise InstanceError("duplicate hospital id")
 
     regions: list[tuple[frozenset[str], int]] = []
     raw_reg = doc.get("regions", [])
-    _require(isinstance(raw_reg, list), "'regions' must be an array")
+    if not isinstance(raw_reg, list):
+        raise InstanceError("'regions' must be an array")
     for k, entry in enumerate(raw_reg):
-        _require(isinstance(entry, dict), f"regions[{k}] must be an object")
+        if not isinstance(entry, dict):
+            raise InstanceError(f"regions[{k}] must be an object")
         members = entry.get("hospitals")
-        _require(
-            isinstance(members, list) and all(isinstance(m, str) for m in members),
-            f"regions[{k}].hospitals must be an array of strings",
-        )
+        if not _is_strings(members):
+            raise InstanceError(f"regions[{k}].hospitals must be an array of strings")
         cap = entry.get("cap")
-        _require(
-            isinstance(cap, int) and not isinstance(cap, bool),
-            f"regions[{k}].cap must be an integer",
-        )
+        if not _is_int(cap):
+            raise InstanceError(f"regions[{k}].cap must be an integer")
         regions.append((frozenset(members), cap))
 
     # Deduplicate regions by hospital set; identical caps collapse, conflicting
@@ -375,7 +456,9 @@ def matching_to_doc(assignment: Assignment) -> dict:
 
 
 def save_matching(assignment: Assignment) -> str:
-    return json.dumps(matching_to_doc(assignment), indent=2) + "\n"
+    """Render a matching document: ``json.dumps(matching_to_doc(...), indent=2)`` and a newline."""
+    pairs = [_ids((r, h), 2) for r, h in assignment.sorted_pairs()]
+    return '{\n  "pairs": ' + _array(pairs, 1) + "\n}\n"
 
 
 def load_matching(text: str) -> Assignment:
@@ -384,16 +467,14 @@ def load_matching(text: str) -> Assignment:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"matching document is not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict) and "pairs" in doc, "matching document must have 'pairs'")
+    if not (isinstance(doc, dict) and "pairs" in doc):
+        raise InstanceError("matching document must have 'pairs'")
     pairs = doc["pairs"]
-    _require(isinstance(pairs, list), "'pairs' must be an array")
+    if not isinstance(pairs, list):
+        raise InstanceError("'pairs' must be an array")
     out = []
     for k, pair in enumerate(pairs):
-        _require(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, str) for x in pair),
-            f"pairs[{k}] must be a [resident, hospital] pair of strings",
-        )
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+            raise InstanceError(f"pairs[{k}] must be a [resident, hospital] pair of strings")
         out.append((pair[0], pair[1]))
     return Assignment.of(out)

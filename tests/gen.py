@@ -178,6 +178,21 @@ def all_ppn_formulas(n: int) -> list[CnfFormula]:
     return list(out.values())
 
 
+def all_oneinthree_formulas(n: int) -> list[CnfFormula]:
+    """Every set of 2 to 4 distinct positive 3-clauses that uses all n variables.
+
+    Each is a formula ``reduce_oneinthree`` accepts; clauses and their
+    variables come in increasing order.
+    """
+    triples = list(combinations(range(1, n + 1), 3))
+    return [
+        CnfFormula(n, clauses)
+        for m in (2, 3, 4)
+        for clauses in combinations(triples, m)
+        if len({v for clause in clauses for v in clause}) == n
+    ]
+
+
 def random_ppn_formula(rng: random.Random, n: int, max_tries: int = 200) -> CnfFormula:
     """Rejection-sample a PPN formula on n variables (n >= 2)."""
     slots = []

@@ -2,27 +2,39 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import instances, random_instance
+from gen import (
+    all_oneinthree_formulas,
+    all_ppn_formulas,
+    instances,
+    random_instance,
+    random_matching_pairs,
+)
+from hrrc.cli import main
 from hrrc.model import (
     Assignment,
+    Instance,
     InstanceError,
     Region,
     classify,
     common_residents,
     example_g2,
+    instance_to_doc,
     load_instance,
     load_matching,
     make_instance,
+    matching_to_doc,
     save_instance,
     save_matching,
     validate,
 )
+from hrrc.reductions import ReductionVariant, reduce_oneinthree, reduce_ppn
 
 
 def test_g2_fixture_is_valid():
@@ -158,10 +170,194 @@ def test_load_rejects_non_json_and_bad_structure():
         load_instance('{"residents": [{"prefs": []}], "hospitals": []}')
 
 
+_R = {"id": "r", "prefs": []}
+_H = {"id": "h", "capacity": 1, "prefs": []}
+
+# One malformed document per parser message, with the exact text reported.
+# A document given as a str is parsed as is; any other value is dumped first.
+# The rows with two faults pin that the first fault in reading order wins.
+INSTANCE_ERRORS = [
+    ("not json", "instance document is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"residents": [', "instance document is not valid JSON: Expecting value: line 1 column 16 (char 15)"),
+    ([], "instance document must be a JSON object"),
+    ({"zeta": 1, "residents": [], "alpha": 2}, "unknown top-level keys: ['alpha', 'zeta']"),
+    ({"residents": {}}, "'residents' must be an array"),
+    ({"residents": ["r"]}, "residents[0] must be an object"),
+    ({"residents": [_R, {"prefs": []}]}, "residents[1] is missing 'id'"),
+    ({"residents": [{"id": 1}]}, "residents[0].id must be a string"),
+    ({"residents": [{"id": "r", "prefs": "h"}]}, "residents[0].prefs must be an array of strings"),
+    ({"residents": [{"id": "r", "prefs": ["h", 2]}]}, "residents[0].prefs must be an array of strings"),
+    ({"hospitals": {}}, "'hospitals' must be an array"),
+    ({"hospitals": [None]}, "hospitals[0] must be an object"),
+    ({"hospitals": [_H, {"capacity": 1}]}, "hospitals[1] is missing 'id'"),
+    ({"hospitals": [{"id": ["h"]}]}, "hospitals[0].id must be a string"),
+    ({"hospitals": [{"id": "h"}]}, "hospitals[0].capacity must be an integer"),
+    ({"hospitals": [{"id": "h", "capacity": True}]}, "hospitals[0].capacity must be an integer"),
+    ({"hospitals": [{"id": "h", "capacity": 1.0}]}, "hospitals[0].capacity must be an integer"),
+    ({"hospitals": [{"id": "h", "capacity": 1, "prefs": {}}]}, "hospitals[0].prefs must be an array of strings"),
+    ({"hospitals": [{"id": "h", "capacity": 1, "prefs": [None]}]}, "hospitals[0].prefs must be an array of strings"),
+    ({"residents": [_R, _R]}, "duplicate resident id"),
+    ({"hospitals": [_H, _H]}, "duplicate hospital id"),
+    ({"regions": {}}, "'regions' must be an array"),
+    ({"regions": [["h"]]}, "regions[0] must be an object"),
+    ({"regions": [{"cap": 1}]}, "regions[0].hospitals must be an array of strings"),
+    ({"regions": [{"hospitals": "h", "cap": 1}]}, "regions[0].hospitals must be an array of strings"),
+    ({"regions": [{"hospitals": [1], "cap": 1}]}, "regions[0].hospitals must be an array of strings"),
+    ({"regions": [{"hospitals": ["h"]}]}, "regions[0].cap must be an integer"),
+    ({"regions": [{"hospitals": ["h"], "cap": False}]}, "regions[0].cap must be an integer"),
+    (
+        {"residents": [{"id": "r", "prefs": ["h"]}], "hospitals": [_H]},
+        "invalid instance: resident 'r' lists 'h' but 'h' does not list 'r'",
+    ),
+    ({"residents": [{"prefs": []}], "hospitals": 3}, "residents[0] is missing 'id'"),
+    ({"residents": [_R, _R], "hospitals": [{"id": "h"}]}, "hospitals[0].capacity must be an integer"),
+    ({"residents": [_R, _R], "regions": 5}, "duplicate resident id"),
+    ({"residents": [_R, _R], "hospitals": [_H, _H]}, "duplicate resident id"),
+    ({"regions": [{"hospitals": ["x"], "cap": 1}], "extra": 0}, "unknown top-level keys: ['extra']"),
+]
+
+MATCHING_ERRORS = [
+    ("{", "matching document is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ([], "matching document must have 'pairs'"),
+    ({"pair": []}, "matching document must have 'pairs'"),
+    ({"pairs": {}}, "'pairs' must be an array"),
+    ({"pairs": [["r", "h"], "rh"]}, "pairs[1] must be a [resident, hospital] pair of strings"),
+    ({"pairs": [["r"]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
+    ({"pairs": [["r", "h", "x"]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
+    ({"pairs": [["r", 1]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
+    ({"pairs": [1, ["r", None]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
+]
+
+
+def _text(doc):
+    return doc if isinstance(doc, str) else json.dumps(doc)
+
+
+@pytest.mark.parametrize("doc, message", INSTANCE_ERRORS)
+def test_instance_parser_error_messages_are_pinned(doc, message):
+    with pytest.raises(InstanceError) as exc:
+        load_instance(_text(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("doc, message", MATCHING_ERRORS)
+def test_matching_parser_error_messages_are_pinned(doc, message):
+    with pytest.raises(InstanceError) as exc:
+        load_matching(_text(doc))
+    assert str(exc.value) == message
+
+
+def test_parser_errors_reach_the_cli_stderr_line(capsys, tmp_path):
+    good = tmp_path / "g2.json"
+    good.write_text(save_instance(example_g2()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"residents": [{"prefs": []}], "hospitals": 3}))
+    assert main(["solve", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: residents[0] is missing 'id'\n")
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json.dumps({"pairs": [["r1", "h1"], ["r2"]]}))
+    assert main(["check", str(good), str(pairs)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: pairs[1] must be a [resident, hospital] pair of strings\n",
+    )
+
+
 def test_matching_roundtrip():
     m = Assignment.of([("r1", "h1"), ("r2", "h2")])
     assert load_matching(save_matching(m)) == m
     assert load_matching('{"pairs": []}') == Assignment()
+
+
+# --- the writers against the json module ---------------------------------------
+#
+# save_instance and save_matching build their text directly; json.dumps with
+# indent=2 is the reference layout they must reproduce byte for byte.
+
+
+def assert_written_as_json_dumps(instance: Instance) -> None:
+    assert save_instance(instance) == json.dumps(instance_to_doc(instance), indent=2) + "\n"
+
+
+def assert_matching_written_as_json_dumps(matching: Assignment) -> None:
+    assert save_matching(matching) == json.dumps(matching_to_doc(matching), indent=2) + "\n"
+
+
+PPN_TARGETS = [ReductionVariant.PPN_223, ReductionVariant.PPN_232, ReductionVariant.PPN_322]
+
+
+def test_writers_match_json_dumps_on_reductions():
+    for n in (2, 3):
+        for formula in all_ppn_formulas(n):
+            for variant in PPN_TARGETS:
+                assert_written_as_json_dumps(reduce_ppn(formula, variant)[0])
+    for n in (4, 5):
+        for formula in all_oneinthree_formulas(n):
+            assert_written_as_json_dumps(reduce_oneinthree(formula))
+
+
+def test_writers_match_json_dumps_on_random_draws():
+    rng = random.Random(12)
+    draws = [example_g2()]
+    for gamma in (None, 0, 1, 2, 3):
+        draws += [random_instance(rng, 8, 8, gamma=gamma, edge_prob=0.5) for _ in range(40)]
+    for instance in draws:
+        assert_written_as_json_dumps(instance)
+        assert_matching_written_as_json_dumps(Assignment.of(random_matching_pairs(rng, instance)))
+
+
+ODD_IDS = ["", "r\u00e9", "h\U0001F600", 'say "hi"', "back\\slash", "\x00\t\n\x1f", "\u2028\u2029", "/"]
+
+EDGE_INSTANCES = {
+    "odd string ids": make_instance(
+        residents=[(ODD_IDS[0], ODD_IDS[4:]), (ODD_IDS[1], ODD_IDS[4:6])],
+        hospitals=[(x, 1, ODD_IDS[:2]) for x in ODD_IDS[4:]]
+        + [(ODD_IDS[2], 2, []), (ODD_IDS[3], 0, [])],
+        regions=[(ODD_IDS[2:6], 1), (ODD_IDS[6:], 2)],
+    ),
+    # make_instance does not validate, so the writer sees whatever the API holds.
+    "non-string ids and odd capacities": make_instance(
+        residents=[(1, [("h", 2), None]), (("r", 2), [1.5, True])],
+        hospitals=[(("h", 2), True, [1]), (None, -3, [("r", 2)]), ("h", 2.5, [])],
+        regions=[([("h", 2)], None), ([None], False), (["h"], -1), (["h"], 10**20)],
+    ),
+    "ids only in preference lists": make_instance(
+        residents=[("r", ["ghost", "h"])], hospitals=[("h", 1, ["r", "phantom"])]
+    ),
+    "empty preference lists": make_instance(
+        residents=[("r1", []), ("r2", [])], hospitals=[("h", 1, [])], regions=[(["h"], 0)]
+    ),
+    "no residents": make_instance(residents=[], hospitals=[("h", 1, [])]),
+    "no hospitals": make_instance(residents=[("r", [])], hospitals=[]),
+    "no regions": make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, ["r"])]),
+    "nothing at all": make_instance(residents=[], hospitals=[]),
+    "region members out of order": make_instance(
+        residents=[("r", ["h3", "h1", "h2"])],
+        hospitals=[(h, 1, ["r"]) for h in ("h3", "h1", "h2")],
+        regions=[(("h3", "h1", "h2"), 2), (["h2", "h1"], 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_INSTANCES))
+def test_save_instance_matches_json_dumps_on_edge_cases(name):
+    assert_written_as_json_dumps(EDGE_INSTANCES[name])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [],
+        [("r1", "h1")],
+        list(zip(ODD_IDS, reversed(ODD_IDS))),
+        [(1, 2), (0, 5)],
+        [(("r", 1), "h"), (("r", 0), None)],
+    ],
+)
+def test_save_matching_matches_json_dumps_on_edge_cases(pairs):
+    assert_matching_written_as_json_dumps(Assignment.of(pairs))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import reference_sat
-from gen import all_ppn_formulas, random_cnf, random_ppn_formula
+from gen import all_oneinthree_formulas, all_ppn_formulas, random_cnf, random_ppn_formula
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
 from hrrc.model import classify
 from hrrc.poly_solvers import HARD
@@ -280,10 +280,15 @@ def test_reduce_oneinthree_satisfiable_single_clause():
     assert sum(decoded.values()) == 1
 
 
-def test_reduce_oneinthree_unsatisfiable_four_clauses():
-    f = CnfFormula(4, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))
-    assert sat_brute(f, mode=MODE_ONE_IN_THREE) is None
-    assert exists_strongly_stable(reduce_oneinthree(f)).status == "none-exists"
+def test_unsatisfiable_oneinthree_formulas_reduce_to_none_exists():
+    unsatisfiable = {
+        n: [f for f in all_oneinthree_formulas(n) if sat_brute(f, mode=MODE_ONE_IN_THREE) is None]
+        for n in (4, 5)
+    }
+    assert unsatisfiable[4] == [CnfFormula(4, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)))]
+    assert len(unsatisfiable[5]) == 10
+    for formula in unsatisfiable[4] + unsatisfiable[5]:
+        assert exists_strongly_stable(reduce_oneinthree(formula)).status == "none-exists", formula
 
 
 def test_oneinthree_encode_decode_roundtrip():

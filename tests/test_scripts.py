@@ -28,3 +28,4 @@ def test_reduction_sweep_script_reaches_both_verdicts():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "(10 satisfiable, 15 unsatisfiable)" in proc.stdout
+    assert "one-in-three-222: 331 formulas, verdicts agree (320 satisfiable, 11 unsatisfiable)" in proc.stdout
