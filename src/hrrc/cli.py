@@ -130,15 +130,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(f"feasible: {'yes' if feasible else 'no'}")
-        print(f"blocking pairs: {len(bps)}")
-        for r, h in bps:
-            print(f"  ({r}, {h})")
+        # One write for the whole report: a report can run to thousands of lines.
+        lines = [f"feasible: {'yes' if feasible else 'no'}", f"blocking pairs: {len(bps)}"]
+        lines += [f"  ({r}, {h})" for r, h in bps]
         if feasible:
-            print(f"strong blocking pairs: {len(sbps)}")
-            for w in sbps:
-                print(f"  ({w.resident}, {w.hospital}) via {', '.join(w.conditions())}")
-        print(f"strongly stable: {'yes' if stable else 'no'}")
+            lines.append(f"strong blocking pairs: {len(sbps)}")
+            lines += [
+                f"  ({w.resident}, {w.hospital}) via {', '.join(w.conditions())}" for w in sbps
+            ]
+        lines.append(f"strongly stable: {'yes' if stable else 'no'}")
+        print("\n".join(lines))
     return EXIT_OK if stable else EXIT_NEGATIVE
 
 

@@ -26,7 +26,8 @@ Document formats (UTF-8 JSON):
       {"pairs": [["r1", "h1"], ...]}
 
 The writers build document text directly, line by line; it is byte-identical
-to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers raise
+to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers build an
+instance or matching in one pass over the document and raise
 :class:`InstanceError` naming the first fault they find.
 """
 
@@ -354,7 +355,7 @@ def save_instance(instance: Instance) -> str:
 
 
 def _is_strings(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
 def _is_int(value: object) -> bool:
@@ -362,15 +363,16 @@ def _is_int(value: object) -> bool:
 
 
 def instance_from_doc(doc: object) -> Instance:
-    # Each message is built only when its check fails: a document runs
-    # hundreds of checks and almost never shows one.
+    # One pass over the entries builds the instance's own fields.  Each message
+    # is built only when its check fails: a document runs hundreds of checks
+    # and almost never shows one.
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     unknown = set(doc) - {"residents", "hospitals", "regions"}
     if unknown:
         raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
 
-    residents: list[tuple[str, list[str]]] = []
+    resident_prefs: dict[str, tuple[str, ...]] = {}
     raw_res = doc.get("residents", [])
     if not isinstance(raw_res, list):
         raise InstanceError("'residents' must be an array")
@@ -385,9 +387,10 @@ def instance_from_doc(doc: object) -> Instance:
         prefs = entry.get("prefs", [])
         if not _is_strings(prefs):
             raise InstanceError(f"residents[{k}].prefs must be an array of strings")
-        residents.append((rid, prefs))
+        resident_prefs[rid] = tuple(prefs)
 
-    hospitals: list[tuple[str, int, list[str]]] = []
+    capacities: dict[str, int] = {}
+    hospital_prefs: dict[str, tuple[str, ...]] = {}
     raw_hosp = doc.get("hospitals", [])
     if not isinstance(raw_hosp, list):
         raise InstanceError("'hospitals' must be an array")
@@ -405,14 +408,18 @@ def instance_from_doc(doc: object) -> Instance:
         prefs = entry.get("prefs", [])
         if not _is_strings(prefs):
             raise InstanceError(f"hospitals[{k}].prefs must be an array of strings")
-        hospitals.append((hid, cap, prefs))
+        capacities[hid] = cap
+        hospital_prefs[hid] = tuple(prefs)
 
-    if len({r for r, _ in residents}) != len(residents):
+    # An id seen twice keeps one key, so the dict is shorter than its array.
+    if len(resident_prefs) != len(raw_res):
         raise InstanceError("duplicate resident id")
-    if len({h for h, _, _ in hospitals}) != len(hospitals):
+    if len(hospital_prefs) != len(raw_hosp):
         raise InstanceError("duplicate hospital id")
 
-    regions: list[tuple[frozenset[str], int]] = []
+    # Regions keyed by hospital set and cap, first occurrence first: identical
+    # regions collapse, conflicting caps survive so validation can report them.
+    regions: dict[tuple[frozenset[str], int], Region] = {}
     raw_reg = doc.get("regions", [])
     if not isinstance(raw_reg, list):
         raise InstanceError("'regions' must be an array")
@@ -425,19 +432,18 @@ def instance_from_doc(doc: object) -> Instance:
         cap = entry.get("cap")
         if not _is_int(cap):
             raise InstanceError(f"regions[{k}].cap must be an integer")
-        regions.append((frozenset(members), cap))
+        key = (frozenset(members), cap)
+        if key not in regions:
+            regions[key] = Region(*key)
 
-    # Deduplicate regions by hospital set; identical caps collapse, conflicting
-    # caps survive so validation can report them.
-    deduped: list[tuple[frozenset[str], int]] = []
-    seen: set[tuple[frozenset[str], int]] = set()
-    for members, cap in regions:
-        if (members, cap) in seen:
-            continue
-        seen.add((members, cap))
-        deduped.append((members, cap))
-
-    instance = make_instance(residents, hospitals, deduped)
+    instance = Instance(
+        residents=tuple(resident_prefs),
+        hospitals=tuple(hospital_prefs),
+        capacities=capacities,
+        resident_prefs=resident_prefs,
+        hospital_prefs=hospital_prefs,
+        regions=tuple(regions.values()),
+    )
     require_valid(instance)
     return instance
 
@@ -472,9 +478,12 @@ def load_matching(text: str) -> Assignment:
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise InstanceError("'pairs' must be an array")
-    out = []
     for k, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
+        ):
             raise InstanceError(f"pairs[{k}] must be a [resident, hospital] pair of strings")
-        out.append((pair[0], pair[1]))
-    return Assignment.of(out)
+    return Assignment(frozenset(map(tuple, pairs)))

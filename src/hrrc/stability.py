@@ -188,27 +188,26 @@ def _blocking(state: _MatchingState) -> Iterator[tuple[str, str]]:
                 yield (r, h)
 
 
-def _move_feasible(state: _MatchingState, r: str, h: str) -> bool:
-    """Whether moving ``r`` to ``h`` keeps every cap of a feasible matching.
-
-    Only the regions containing ``h`` and not ``r``'s current hospital gain
-    a resident; every other region's load stays or falls.
-    """
-    regions_of, caps, load = state.index.regions_of, state.index.region_caps, state.region_load
-    current = state.hospital_of.get(r)
-    left = regions_of[current] if current is not None else ()
-    return all(load[k] < caps[k] for k in regions_of[h] if k not in left)
-
-
 def _witnesses(
     state: _MatchingState, pairs: Iterable[tuple[str, str]]
 ) -> Iterator[BlockingWitness]:
-    hrank, worst, worst_rank = state.index.hrank, state.worst, state.worst_rank
+    index = state.index
+    hrank, regions_of, caps = index.hrank, index.regions_of, index.region_caps
+    worst, worst_rank, load = state.worst, state.worst_rank, state.region_load
+    hospital_of = state.hospital_of
     for r, h in pairs:
         displaced = worst[h] if hrank[h][r] < worst_rank[h] else None
-        move_ok = _move_feasible(state, r, h)
+        # Moving r to h breaks only the caps of full regions that contain h
+        # and not r's current hospital: only those gain a resident, and every
+        # other region's load stays or falls.  An unassigned resident's
+        # hospital is None, which is in no region.
+        move_ok = True
+        for k in regions_of[h]:
+            if load[k] >= caps[k] and k not in regions_of.get(hospital_of.get(r), ()):
+                move_ok = False
+                break
         if displaced is not None or move_ok:
-            yield BlockingWitness(r, h, move_feasible=move_ok, displaced=displaced)
+            yield BlockingWitness(r, h, move_ok, displaced)
 
 
 def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import reference_checker as ref
 from gen import random_instance, random_matching_pairs
 from hrrc import stability
-from hrrc.model import Assignment, make_instance
+from hrrc.cli import main
+from hrrc.model import Assignment, example_g2, make_instance, save_instance, save_matching
+from hrrc.poly_solvers import dispatch
 from hrrc.stability import BlockingWitness
 
 
@@ -141,3 +143,57 @@ def test_witness_names_the_worst_assignee():
     assert_agree(instance, matching)
     (witness,) = stability.strong_blocking_pairs(instance, matching)
     assert (witness.pair, witness.displaced, witness.move_feasible) == (("a", "h"), "c", False)
+
+
+# --- hrrc check's text against the reference ----------------------------------
+
+
+def reference_check_output(instance, matching) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``hrrc check``, rendered from the reference."""
+    violations = ref.matching_violations(instance, matching)
+    if violations:
+        return 2, "", "error: assignment is not a matching: " + "; ".join(violations) + "\n"
+    feasible = ref.is_feasible(instance, matching)
+    bps = ref.blocking_pairs(instance, matching)
+    lines = [f"feasible: {'yes' if feasible else 'no'}", f"blocking pairs: {len(bps)}"]
+    lines += [f"  ({r}, {h})" for r, h in bps]
+    stable = feasible
+    if feasible:
+        sbps = ref.strong_blocking_pairs(instance, matching)
+        stable = not sbps
+        lines.append(f"strong blocking pairs: {len(sbps)}")
+        for w in sbps:
+            conditions = []
+            if w.displaced is not None:
+                conditions.append(f"preferred-over-assignee({w.displaced})")
+            if w.move_feasible:
+                conditions.append("move-feasible")
+            lines.append(f"  ({w.resident}, {w.hospital}) via {', '.join(conditions)}")
+    lines.append(f"strongly stable: {'yes' if stable else 'no'}")
+    return (0 if stable else 1), "\n".join(lines) + "\n", ""
+
+
+def test_check_text_matches_reference(capsys, tmp_path):
+    """``hrrc check``'s bytes on seeded draws: stable, unstable, infeasible and
+    non-matching assignments, the stable ones from ``dispatch``."""
+    rng = random.Random(2024)
+    instance_file, matching_file = tmp_path / "instance.json", tmp_path / "matching.json"
+    cases = [(example_g2(), Assignment.of([("r1", "h1")]))]
+    for _ in range(120):
+        instance = random_instance(rng, max_residents=8, max_hospitals=6, max_region_cap=2)
+        pairs = corrupt(rng, instance, random_matching_pairs(rng, instance))
+        cases.append((instance, Assignment.of(pairs)))
+        outcome = dispatch(instance)
+        if outcome.is_found:
+            cases.append((instance, outcome.matching))
+    seen = {0: 0, 1: 0, 2: 0, "infeasible": 0}
+    for instance, matching in cases:
+        instance_file.write_text(save_instance(instance))
+        matching_file.write_text(save_matching(matching))
+        expected = reference_check_output(instance, matching)
+        code = main(["check", str(instance_file), str(matching_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+        seen[code] += 1
+        seen["infeasible"] += expected[1].startswith("feasible: no")
+    assert all(count >= 10 for count in seen.values()), seen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -263,6 +264,186 @@ def test_parser_errors_reach_the_cli_stderr_line(capsys, tmp_path):
         "",
         "error: pairs[1] must be a [resident, hospital] pair of strings\n",
     )
+
+
+# --- the one-pass parser against the rows it reads ------------------------------
+#
+# load_instance builds the instance's fields as it reads each entry.  The
+# reference collects the document's rows first, drops exact duplicate
+# regions keeping the first, and assembles them with make_instance.
+
+
+def instance_from_rows(doc: dict) -> Instance:
+    residents = [(e["id"], e.get("prefs", [])) for e in doc.get("residents", [])]
+    hospitals = [(e["id"], e["capacity"], e.get("prefs", [])) for e in doc.get("hospitals", [])]
+    regions: list[tuple[frozenset[str], int]] = []
+    for e in doc.get("regions", []):
+        region = (frozenset(e["hospitals"]), e["cap"])
+        if region not in regions:
+            regions.append(region)
+    return make_instance(residents, hospitals, regions)
+
+
+def assert_parsed_as_rows(doc: dict) -> None:
+    """``load_instance`` gives the rows' instance field by field, dict key order
+    and region order included, or fails with the message that instance gives."""
+    expected = instance_from_rows(doc)
+    violations = validate(expected)
+    if violations:
+        with pytest.raises(InstanceError) as exc:
+            load_instance(json.dumps(doc))
+        assert str(exc.value) == "invalid instance: " + "; ".join(violations)
+        return
+    parsed = load_instance(json.dumps(doc))
+    for field in dataclasses.fields(Instance):
+        got, want = getattr(parsed, field.name), getattr(expected, field.name)
+        assert (type(got), got) == (type(want), want), field.name
+        if isinstance(want, dict):
+            assert list(got) == list(want), field.name
+
+
+def test_parser_builds_the_rows_instance_on_reductions():
+    for n in (2, 3):
+        for formula in all_ppn_formulas(n):
+            for variant in PPN_TARGETS:
+                assert_parsed_as_rows(instance_to_doc(reduce_ppn(formula, variant)[0]))
+    for formula in all_oneinthree_formulas(4):
+        assert_parsed_as_rows(instance_to_doc(reduce_oneinthree(formula)))
+
+
+def test_parser_builds_the_rows_instance_on_random_draws():
+    rng = random.Random(31)
+    for gamma in (None, 0, 1, 2, 3):
+        for _ in range(40):
+            doc = instance_to_doc(random_instance(rng, 8, 8, gamma=gamma, edge_prob=0.5))
+            # Repeat some regions, members shuffled, with the same or another cap.
+            for region in list(doc["regions"]):
+                if rng.random() < 0.3:
+                    members = rng.sample(region["hospitals"], len(region["hospitals"]))
+                    cap = region["cap"] + rng.choice((0, 0, 1))
+                    at = rng.randint(0, len(doc["regions"]))
+                    doc["regions"].insert(at, {"hospitals": members, "cap": cap})
+            assert_parsed_as_rows(doc)
+
+
+_TWO_BY_THREE = {
+    "residents": [{"id": r, "prefs": ["h3", "h1", "h2"]} for r in ("r2", "r1")],
+    "hospitals": [{"id": h, "capacity": 1, "prefs": ["r1", "r2"]} for h in ("h3", "h1", "h2")],
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_TWO_BY_THREE, "regions": [{"hospitals": ["h1", "h2"], "cap": 1}] * 2},
+        {
+            **_TWO_BY_THREE,
+            "regions": [
+                {"hospitals": ["h2", "h1"], "cap": 1},
+                {"hospitals": ["h3"], "cap": 0},
+                {"hospitals": ["h1", "h2"], "cap": 1},
+                {"hospitals": ["h3"], "cap": 0},
+            ],
+        },
+        {
+            **_TWO_BY_THREE,
+            "regions": [{"hospitals": ["h1", "h2"], "cap": 1}, {"hospitals": ["h2", "h1"], "cap": 2}],
+        },
+        {
+            **_TWO_BY_THREE,
+            "regions": [
+                {"hospitals": ["h3"], "cap": 2},
+                {"hospitals": ["h3", "h2"], "cap": 1},
+                {"hospitals": ["h3"], "cap": 1},
+                {"hospitals": ["h2", "h3"], "cap": 1},
+                {"hospitals": ["h3"], "cap": 2},
+            ],
+        },
+        {
+            **_TWO_BY_THREE,
+            "regions": [{"hospitals": ["h2", "h3", "h1"], "cap": 2}, {"hospitals": ["h1"], "cap": 1}],
+        },
+        _TWO_BY_THREE,
+        {
+            "residents": [{"id": "r1"}, {"id": "r2", "prefs": []}],
+            "hospitals": [{"id": "h2", "capacity": 0}, {"id": "h1", "capacity": 3, "prefs": []}],
+            "regions": [{"hospitals": ["h1", "h2"], "cap": 2}],
+        },
+        {"hospitals": [{"id": "h", "capacity": 1}]},
+        {},
+    ],
+    ids=[
+        "identical duplicate regions",
+        "identical duplicates, members out of order",
+        "conflicting duplicate regions",
+        "conflicting caps, first occurrences kept in order",
+        "region members out of order",
+        "omitted regions",
+        "omitted prefs",
+        "omitted residents and regions",
+        "empty document",
+    ],
+)
+def test_parser_builds_the_rows_instance_on_edge_cases(doc):
+    assert_parsed_as_rows(doc)
+
+
+def load_matching_per_pair(text: str) -> Assignment:
+    """The matching parser as it was before it built its set in one call: a
+    generator checks each pair's members, and the pairs are copied one by one."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"matching document is not valid JSON: {exc}") from exc
+    if not (isinstance(doc, dict) and "pairs" in doc):
+        raise InstanceError("matching document must have 'pairs'")
+    pairs = doc["pairs"]
+    if not isinstance(pairs, list):
+        raise InstanceError("'pairs' must be an array")
+    out = []
+    for k, pair in enumerate(pairs):
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)
+        ):
+            raise InstanceError(f"pairs[{k}] must be a [resident, hospital] pair of strings")
+        out.append((pair[0], pair[1]))
+    return Assignment.of(out)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except InstanceError as exc:
+        return ("raised", str(exc))
+
+
+_NOT_PAIRS = ["r1", 1, None, True, {"r": "h"}, [], ["r1"], ["r1", "h1", "h1"], [["r1"], "h1"]]
+_NOT_IDS = [1, 0, None, False, 2.5, ["r1"], {"id": "r1"}]
+
+
+def test_load_matching_matches_the_per_pair_parser_on_mutated_documents():
+    rng = random.Random(5)
+    outcomes = {"ok": 0, "raised": 0}
+    for _ in range(400):
+        instance = random_instance(rng, 6, 5)
+        valid = [list(p) for p in random_matching_pairs(rng, instance)]
+        pairs = list(valid)
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randint(0, len(pairs))
+            mutation = rng.randrange(4)
+            if mutation == 0 or not valid:  # not a pair: a non-list, or 0, 1 or 3 items
+                pairs.insert(k, rng.choice(_NOT_PAIRS))
+            elif mutation == 1:  # a member that is not a string
+                pair = list(rng.choice(valid))
+                pair[rng.randrange(2)] = rng.choice(_NOT_IDS)
+                pairs.insert(k, pair)
+            else:  # an exact duplicate pair
+                pairs.insert(k, list(rng.choice(valid)))
+        text = json.dumps({"pairs": pairs})
+        expected = _parse_outcome(load_matching_per_pair, text)
+        assert _parse_outcome(load_matching, text) == expected
+        outcomes[expected[0]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_matching_roundtrip():
