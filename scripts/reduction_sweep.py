@@ -4,7 +4,8 @@
 Samples small 2-positive/1-negative formulas, reduces each through the three
 PPN target classes, and checks that brute-force satisfiability agrees with
 strongly-stable-matching existence; satisfiable cases are additionally pushed
-through the encode/decode witness maps.  Random draws are almost always
+through the encode/decode witness maps, and the encoded model must decode to
+itself.  Random draws are almost always
 satisfiable, so the sweep then adds the 15 unsatisfiable formulas among every
 PPN formula on four variables.  The exactly-one-in-three target gets the same
 checks on every set of 2 to 4 positive 3-clauses over four or five variables
@@ -67,6 +68,8 @@ def sweep(formula: CnfFormula, variant: ReductionVariant, stats: dict) -> None:
     encoded = encode_assignment(formula, witness, variant)
     if not is_strongly_stable(instance, encoded):
         fail(f"{variant.value}: the encoded witness of {formula} is not strongly stable")
+    if decode_matching(formula, encoded, variant) != witness:
+        fail(f"{variant.value}: the encoded witness of {formula} decodes to another model")
     for matching in (encoded, out.matching):
         if not satisfies(formula, decode_matching(formula, matching, variant), mode):
             fail(f"{variant.value}: a matching of {formula} decodes to a non-model")

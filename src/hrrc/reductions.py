@@ -16,6 +16,12 @@ Gadget ids embed their indices (``x'_2_1``, ``c'_3_2``, ...) so emitted
 instance documents can be read against the source formula; the occurrence
 table ties clause positions to variable occurrence slots and is what the
 cross-gadget wiring and the decoders navigate by.
+
+Witnesses are filled from the gadgets the builders emit: each clause gadget
+resident, in declaration order, takes the first hospital on its list with
+room left, its regions' caps included (first fit).  A slot hospital
+(``x'_i_k``) has room exactly when its literal is false in ppn-223 and
+ppn-232, and true in ppn-322: then the variable gadget leaves it free.
 """
 
 from __future__ import annotations
@@ -427,10 +433,6 @@ class _Builder:
         return instance
 
 
-def _y1(i: int) -> str:
-    return f"y'_{i}"
-
-
 def _x1(i: int) -> str:
     return f"x'_{i}"
 
@@ -508,8 +510,8 @@ def reduce_oneinthree(formula: CnfFormula) -> Instance:
     _require_all_variables_used(formula)
     b = _Builder()
     for i in range(1, formula.num_vars + 1):
-        b.resident(_y1(i), [_x1(i)])
-        b.hospital(_x1(i), 1, [_y1(i)])
+        b.resident(_y(i), [_x1(i)])
+        b.hospital(_x1(i), 1, [_y(i)])
     for j, clause in enumerate(formula.clauses, start=1):
         b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -526,26 +528,45 @@ def _slot_hospital(table: OccurrenceTable, j: int, ell: int) -> str:
     return _x(i, kind)
 
 
-def _build_common_clauses(b: _Builder, formula: CnfFormula, table: OccurrenceTable) -> None:
-    """Clause gadgets shared by the 223 and 232 reductions."""
-    for j, clause in enumerate(formula.clauses, start=1):
-        if len(clause) == 2:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 1)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _c(j, 2)])
-            b.hospital(_y(j), 1, [_z(j)])
-            b.region((_a(j, 1), _y(j)), 1)
-        else:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 1)])
-            b.resident(_d(j), [_a(j, 2), _a(j, 3)])
-            b.resident(_c(j, 3), [_slot_hospital(table, j, 3), _a(j, 3)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _c(j, 2)])
-            b.hospital(_a(j, 2), 1, [_d(j)])
-            b.hospital(_a(j, 3), 1, [_d(j), _c(j, 3)])
-            b.hospital(_y(j), 1, [_z(j)])
-            b.region((_a(j, 1), _a(j, 2)), 1)
-            b.region((_a(j, 3), _y(j)), 1)
+def _common_clause(b: _Builder, j: int, clause: tuple[int, ...], table: OccurrenceTable) -> None:
+    """Clause j's gadget in the 223 and 232 reductions."""
+    c1, c2, a1, y = _c(j, 1), _c(j, 2), _a(j, 1), _y(j)
+    b.resident(c1, [_slot_hospital(table, j, 1), a1])
+    b.resident(c2, [_slot_hospital(table, j, 2), a1])
+    b.hospital(a1, 1, [c1, c2])
+    if len(clause) == 2:
+        b.region((a1, y), 1)
+    else:
+        c3, d, a2, a3 = _c(j, 3), _d(j), _a(j, 2), _a(j, 3)
+        b.resident(d, [a2, a3])
+        b.resident(c3, [_slot_hospital(table, j, 3), a3])
+        b.hospital(a2, 1, [d])
+        b.hospital(a3, 1, [d, c3])
+        b.region((a1, a2), 1)
+        b.region((a3, y), 1)
+    b.hospital(y, 1, [_z(j)])
+
+
+def _clause_322(b: _Builder, j: int, clause: tuple[int, ...], table: OccurrenceTable) -> None:
+    """Clause j's gadget in the 322 reduction."""
+    c1, c2, u1, a1, a2, y = _c(j, 1), _c(j, 2), _u(j, 1), _a(j, 1), _a(j, 2), _y(j)
+    b.resident(c1, [_slot_hospital(table, j, 1), a1])
+    b.resident(c2, [_slot_hospital(table, j, 2), a2])
+    b.hospital(a1, 1, [c1, u1])
+    b.hospital(a2, 1, [c2, u1])
+    if len(clause) == 2:
+        b.resident(u1, [a1, a2, y])
+        b.hospital(y, 1, [u1, _z(j)])
+    else:
+        c3, d, u2, a3, a4, w = _c(j, 3), _d(j), _u(j, 2), _a(j, 3), _a(j, 4), _w(j)
+        b.resident(u1, [a1, a2, w])
+        b.resident(d, [w, a4])
+        b.resident(c3, [_slot_hospital(table, j, 3), a3])
+        b.resident(u2, [a4, a3, y])
+        b.hospital(w, 1, [u1, d])
+        b.hospital(a4, 1, [d, u2])
+        b.hospital(a3, 1, [c3, u2])
+        b.hospital(y, 1, [u2, _z(j)])
 
 
 def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
@@ -563,7 +584,8 @@ def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
         b.region((_b(i, 1), _x(i, 1)), 1)
         b.region((_b(i, 2), _x(i, 2)), 1)
         b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
-    _build_common_clauses(b, formula, table)
+    for j, clause in enumerate(formula.clauses, start=1):
+        _common_clause(b, j, clause, table)
     for j in range(1, len(formula.clauses) + 1):
         b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -587,7 +609,8 @@ def _build_ppn_232(formula: CnfFormula, table: OccurrenceTable) -> Instance:
         b.hospital(_x(i, 3), 2, [_e(i, 1), _e(i, 2), _c(*table.negative[i])])
         b.region((_b(i, 1), _x(i, 1)), 1)
         b.region((_b(i, 2), _x(i, 2)), 1)
-    _build_common_clauses(b, formula, table)
+    for j, clause in enumerate(formula.clauses, start=1):
+        _common_clause(b, j, clause, table)
     for j in range(1, len(formula.clauses) + 1):
         b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -612,26 +635,7 @@ def _build_ppn_322(formula: CnfFormula, table: OccurrenceTable) -> Instance:
         b.hospital(_b(i, 2), 2, [_e(i, 4), _e(i, 3)])
         b.region((_b(i, 1), _b(i, 2)), 2)
     for j, clause in enumerate(formula.clauses, start=1):
-        if len(clause) == 2:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 2)])
-            b.resident(_u(j, 1), [_a(j, 1), _a(j, 2), _y(j)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _u(j, 1)])
-            b.hospital(_a(j, 2), 1, [_c(j, 2), _u(j, 1)])
-            b.hospital(_y(j), 1, [_u(j, 1), _z(j)])
-        else:
-            b.resident(_c(j, 1), [_slot_hospital(table, j, 1), _a(j, 1)])
-            b.resident(_c(j, 2), [_slot_hospital(table, j, 2), _a(j, 2)])
-            b.resident(_u(j, 1), [_a(j, 1), _a(j, 2), _w(j)])
-            b.resident(_d(j), [_w(j), _a(j, 4)])
-            b.resident(_c(j, 3), [_slot_hospital(table, j, 3), _a(j, 3)])
-            b.resident(_u(j, 2), [_a(j, 4), _a(j, 3), _y(j)])
-            b.hospital(_a(j, 1), 1, [_c(j, 1), _u(j, 1)])
-            b.hospital(_a(j, 2), 1, [_c(j, 2), _u(j, 1)])
-            b.hospital(_w(j), 1, [_u(j, 1), _d(j)])
-            b.hospital(_a(j, 4), 1, [_d(j), _u(j, 2)])
-            b.hospital(_a(j, 3), 1, [_c(j, 3), _u(j, 2)])
-            b.hospital(_y(j), 1, [_u(j, 2), _z(j)])
+        _clause_322(b, j, clause, table)
     for j in range(1, len(formula.clauses) + 1):
         b.resident(_z(j), [_y(j), _g(j, 2), _g(j, 4)])
         b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
@@ -662,113 +666,45 @@ def reduce_ppn(
 # Witness translation
 
 
-def _clause_values(
-    clause: tuple[int, ...], assignment: SatAssignment
-) -> tuple[bool, ...]:
-    return tuple(literal_value(lit, assignment) for lit in clause)
-
-
-def _encode_common_clause(
-    j: int, clause: tuple[int, ...], values: tuple[bool, ...], table: OccurrenceTable
-) -> list[tuple[str, str]]:
-    """Clause-block pairs shared by the 223 and 232 encodings.
-
-    A false literal sends its clause resident to the variable block (the slot
-    hospital must not stay empty); true literals free the clause residents to
-    fill the block's own hospitals.
-    """
-    xs = [_slot_hospital(table, j, ell) for ell in range(1, len(clause) + 1)]
-    if len(clause) == 2:
-        case = {
-            (False, True): [(_c(j, 1), xs[0]), (_c(j, 2), _a(j, 1))],
-            (True, False): [(_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1])],
-            (True, True): [(_c(j, 1), _a(j, 1))],
-        }
-        return case[values]
-    case3 = {
-        (False, False, True): [
-            (_c(j, 1), xs[0]), (_c(j, 2), xs[1]), (_d(j), _a(j, 2)), (_c(j, 3), _a(j, 3)),
-        ],
-        (False, True, False): [
-            (_c(j, 1), xs[0]), (_c(j, 2), _a(j, 1)), (_d(j), _a(j, 3)), (_c(j, 3), xs[2]),
-        ],
-        (True, False, False): [
-            (_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1]), (_d(j), _a(j, 3)), (_c(j, 3), xs[2]),
-        ],
-        (False, True, True): [
-            (_c(j, 1), xs[0]), (_c(j, 2), _a(j, 1)), (_d(j), _a(j, 3)),
-        ],
-        (True, False, True): [
-            (_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1]), (_d(j), _a(j, 3)),
-        ],
-        (True, True, False): [
-            (_c(j, 1), _a(j, 1)), (_d(j), _a(j, 3)), (_c(j, 3), xs[2]),
-        ],
-        (True, True, True): [
-            (_c(j, 1), _a(j, 1)), (_d(j), _a(j, 3)),
-        ],
-    }
-    return case3[values]
-
-
-def _encode_322_clause(
-    j: int, clause: tuple[int, ...], values: tuple[bool, ...], table: OccurrenceTable
-) -> list[tuple[str, str]]:
-    """Clause-block pairs for the 322 encoding.
-
-    Opposite convention from the other two: a true literal sends its clause
-    resident to the (now vacant) variable-block hospital.
-    """
-    xs = [_slot_hospital(table, j, ell) for ell in range(1, len(clause) + 1)]
-    if len(clause) == 2:
-        case = {
-            (False, True): [(_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 2))],
-            (True, False): [(_c(j, 1), xs[0]), (_c(j, 2), _a(j, 2)), (_u(j, 1), _a(j, 1))],
-            (True, True): [(_c(j, 1), xs[0]), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 1))],
-        }
-        return case[values]
-    case3 = {
-        (False, False, True): [
-            (_c(j, 1), _a(j, 1)), (_c(j, 2), _a(j, 2)), (_u(j, 1), _w(j)),
-            (_d(j), _a(j, 4)), (_c(j, 3), xs[2]), (_u(j, 2), _a(j, 3)),
-        ],
-        (False, True, False): [
-            (_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 2)),
-            (_d(j), _w(j)), (_c(j, 3), _a(j, 3)), (_u(j, 2), _a(j, 4)),
-        ],
-        (True, False, False): [
-            (_c(j, 1), xs[0]), (_c(j, 2), _a(j, 2)), (_u(j, 1), _a(j, 1)),
-            (_d(j), _w(j)), (_c(j, 3), _a(j, 3)), (_u(j, 2), _a(j, 4)),
-        ],
-        (False, True, True): [
-            (_c(j, 1), _a(j, 1)), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 2)),
-            (_d(j), _w(j)), (_c(j, 3), xs[2]), (_u(j, 2), _a(j, 4)),
-        ],
-        (True, False, True): [
-            (_c(j, 1), xs[0]), (_c(j, 2), _a(j, 2)), (_u(j, 1), _a(j, 1)),
-            (_d(j), _w(j)), (_c(j, 3), xs[2]), (_u(j, 2), _a(j, 4)),
-        ],
-        (True, True, False): [
-            (_c(j, 1), xs[0]), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 1)),
-            (_d(j), _w(j)), (_c(j, 3), _a(j, 3)), (_u(j, 2), _a(j, 4)),
-        ],
-        (True, True, True): [
-            (_c(j, 1), xs[0]), (_c(j, 2), xs[1]), (_u(j, 1), _a(j, 1)),
-            (_d(j), _w(j)), (_c(j, 3), xs[2]), (_u(j, 2), _a(j, 4)),
-        ],
-    }
-    return case3[values]
+def _first_fit(b: _Builder, room: dict[str, int]) -> list[tuple[str, str]]:
+    """Place each of ``b``'s residents, in declaration order, at the first hospital
+    on its list with room left in itself and in its regions; ``room`` holds the
+    room of listed hospitals that ``b`` does not declare."""
+    # A hospital's counters: its own room, then each region cap, shared by members.
+    counters = {h: [[left]] for h, left in room.items()}
+    for h, capacity, _prefs in b.hospitals:
+        counters[h] = [[capacity]]
+    for members, cap in b.regions:
+        left = [cap]
+        for h in members:
+            counters[h].append(left)
+    pairs = []
+    for r, prefs in b.residents:
+        for h in prefs:
+            cells = counters[h]
+            if 0 not in [left[0] for left in cells]:
+                for left in cells:
+                    left[0] -= 1
+                pairs.append((r, h))
+                break
+    return pairs
 
 
 def encode_assignment(
     formula: CnfFormula, assignment: SatAssignment, variant: ReductionVariant
 ) -> Assignment:
-    """Build the strongly stable matching that a satisfying assignment induces."""
+    """Build the strongly stable matching that a satisfying assignment induces.
+
+    Variable-gadget and clause-tail pairs are listed per target.  The clause
+    gadgets, emitted as the reduction emits them, are filled first fit (see
+    the module docstring): a slot hospital has room when its literal is
+    false (ppn-223, ppn-232) or true (ppn-322).
+    """
     if variant is ReductionVariant.ONE_IN_THREE_222:
         if not satisfies(formula, assignment, MODE_ONE_IN_THREE):
             raise ValueError("assignment does not satisfy the formula (exactly-one semantics)")
         return Assignment.of(
-            (_y1(i), _x1(i)) for i in range(1, formula.num_vars + 1) if assignment[i]
+            (_y(i), _x1(i)) for i in range(1, formula.num_vars + 1) if assignment[i]
         )
 
     if not satisfies(formula, assignment, MODE_ORDINARY):
@@ -781,8 +717,6 @@ def encode_assignment(
                 pairs += [(_e(i, 1), _b(i, 1)), (_e(i, 2), _b(i, 2))]
             else:
                 pairs += [(_e(i, 1), _b(i, 3)), (_e(i, 2), _b(i, 4))]
-        for j, clause in enumerate(formula.clauses, start=1):
-            pairs += _encode_common_clause(j, clause, _clause_values(clause, assignment), table)
         for j in range(1, len(formula.clauses) + 1):
             pairs.append((_z(j), _t(j)))
     elif variant is ReductionVariant.PPN_232:
@@ -791,8 +725,6 @@ def encode_assignment(
                 pairs += [(_e(i, 1), _b(i, 1)), (_e(i, 2), _b(i, 2))]
             else:
                 pairs += [(_e(i, 1), _x(i, 3)), (_e(i, 2), _x(i, 3))]
-        for j, clause in enumerate(formula.clauses, start=1):
-            pairs += _encode_common_clause(j, clause, _clause_values(clause, assignment), table)
         for j in range(1, len(formula.clauses) + 1):
             pairs.append((_z(j), _g(j, 2)))
     elif variant is ReductionVariant.PPN_322:
@@ -806,13 +738,24 @@ def encode_assignment(
                     (_e(i, 3), _b(i, 2)),
                     (_e(i, 4), _b(i, 2)),
                 ]
-        for j, clause in enumerate(formula.clauses, start=1):
-            pairs += _encode_322_clause(j, clause, _clause_values(clause, assignment), table)
         for j in range(1, len(formula.clauses) + 1):
             pairs += [(_z(j), _y(j)), (_g(j, 3), _g(j, 4))]
     else:
         raise ValueError(f"unknown reduction variant {variant}")
-    return Assignment.of(pairs)
+    if variant is ReductionVariant.PPN_322:
+        gadget, free_when = _clause_322, True
+    else:
+        gadget, free_when = _common_clause, False
+    b = _Builder()
+    for j, clause in enumerate(formula.clauses, start=1):
+        gadget(b, j, clause, table)
+    # Slots 1 and 2 hold variable i's positive literal, slot 3 its negation.
+    slot_room: dict[str, int] = {}
+    for i in range(1, formula.num_vars + 1):
+        positive_free = assignment[i] == free_when
+        slot_room[_x(i, 1)] = slot_room[_x(i, 2)] = positive_free
+        slot_room[_x(i, 3)] = not positive_free
+    return Assignment(frozenset(pairs + _first_fit(b, slot_room)))
 
 
 def decode_matching(

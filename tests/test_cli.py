@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from hrrc.cli import main
 from hrrc.model import example_g2, load_matching, save_instance, save_matching
 from hrrc.model import Assignment
 from hrrc.stability import is_strongly_stable
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -148,6 +151,26 @@ def test_reduce_then_brute_roundtrip(capsys, tmp_path):
     inst_path.write_text(out)
     code, out, _ = run(capsys, "brute", str(inst_path), "--force")
     assert code == 0
+
+
+def test_readme_round_trip_runs_as_shown(capsys, tmp_path, monkeypatch):
+    block = README.read_text().split("A round trip through the reductions:\n\n```\n", 1)[1]
+    # A "$ " line is a command; the lines up to the next one are what it prints.
+    steps: list[tuple[list[str], list[str]]] = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("$ "):
+            steps.append((shlex.split(line[2:]), []))
+        else:
+            steps[-1][1].append(line)
+    assert len(steps) > 1
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in steps:
+        expected = "".join(line + "\n" for line in shown)
+        if argv[0] == "cat":
+            Path(argv[1]).write_text(expected)
+            continue
+        assert argv[0] == "hrrc"
+        assert run(capsys, *argv[1:]) == (0, expected, ""), argv
 
 
 def test_reduce_ppn_writes_sidecar(capsys, tmp_path):

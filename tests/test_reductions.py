@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from itertools import product
 
 import pytest
 
 import reference_sat
 from gen import all_oneinthree_formulas, all_ppn_formulas, random_cnf, random_ppn_formula
 from hrrc.exhaustive import exists_strongly_stable, strongly_stable_set
-from hrrc.model import classify
+from hrrc.model import classify, save_instance, save_matching
 from hrrc.poly_solvers import HARD
 from hrrc.reductions import (
     CnfFormula,
@@ -369,16 +370,19 @@ def test_terminal_block_pairs_in_encodings(variant):
 SMALL_PPN_FORMULAS = all_ppn_formulas(2) + all_ppn_formulas(3)
 
 
+def models(formula, mode=MODE_ORDINARY):
+    """Every model of ``formula`` under ``mode``, in ``product((False, True), ...)`` order."""
+    for values in product((False, True), repeat=formula.num_vars):
+        a = dict(zip(range(1, formula.num_vars + 1), values))
+        if satisfies(formula, a, mode):
+            yield a
+
+
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
 def test_encode_decode_roundtrip_all_satisfying_assignments(variant):
-    from itertools import product
-
     for f in SMALL_PPN_FORMULAS:
         inst, _ = reduce_ppn(f, variant)
-        for values in product((False, True), repeat=f.num_vars):
-            a = dict(zip(range(1, f.num_vars + 1), values))
-            if not satisfies(f, a):
-                continue
+        for a in models(f):
             m = encode_assignment(f, a, variant)
             assert is_strongly_stable(inst, m)
             assert decode_matching(f, m, variant) == a
@@ -448,6 +452,45 @@ def test_all_ppn_formulas_lists_are_pinned():
         assert len(formulas) == count
         digest.update(repr([f.clauses for f in formulas]).encode())
     assert digest.hexdigest() == "e7a4b66d6f509a327cf854f6bf48113e567ada51eedae5890fed845dac23f97a"
+
+
+# The three digests below were recorded from the builders and the table-driven
+# clause encodings that preceded the first-fit rule; they pin the bytes of every
+# instance and witness the reductions emit on these formulas.
+
+
+def test_ppn_instance_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for f in SMALL_PPN_FORMULAS:
+        for variant in PPN_VARIANTS:
+            digest.update(save_instance(reduce_ppn(f, variant)[0]).encode())
+    assert digest.hexdigest() == "01838a3babbcf46db852790041efe7c31445a28898b88399a72f29f1834510cb"
+
+
+def test_ppn_encoding_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for f in SMALL_PPN_FORMULAS:
+        for a in models(f):
+            for variant in PPN_VARIANTS:
+                digest.update(save_matching(encode_assignment(f, a, variant)).encode())
+                count += 1
+    assert count == 1326
+    assert digest.hexdigest() == "f04692b519886018eb207f8840c6a039cd3af755b4db4f9937c83debe6f0febf"
+
+
+def test_oneinthree_instance_and_encoding_bytes_are_pinned():
+    digest = hashlib.sha256()
+    builds = encodings = 0
+    for f in all_oneinthree_formulas(4) + all_oneinthree_formulas(5):
+        digest.update(save_instance(reduce_oneinthree(f)).encode())
+        builds += 1
+        for a in models(f, MODE_ONE_IN_THREE):
+            m = encode_assignment(f, a, ReductionVariant.ONE_IN_THREE_222)
+            digest.update(save_matching(m).encode())
+            encodings += 1
+    assert (builds, encodings) == (331, 592)
+    assert digest.hexdigest() == "24ae5abfd14d18666246ed6fae1046c90367d7d827c030a119c7f7b34fe6288c"
 
 
 @pytest.fixture(scope="module")
