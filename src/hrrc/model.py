@@ -233,14 +233,11 @@ def common_residents(instance: Instance, hospitals: Iterable[str]) -> set[str]:
     hs = list(hospitals)
     if not hs:
         raise InstanceError("common_residents requires a non-empty hospital group")
-    common: set[str] | None = None
+    prefs = instance.hospital_prefs
     for h in hs:
-        if h not in instance.hospital_prefs:
+        if h not in prefs:
             raise InstanceError(f"unknown hospital id: {h!r}")
-        acc = set(instance.hospital_prefs[h])
-        common = acc if common is None else common & acc
-    assert common is not None
-    return common
+    return set(prefs[hs[0]]).intersection(*(prefs[h] for h in hs[1:]))
 
 
 def example_g2() -> Instance:

@@ -9,9 +9,9 @@ exists (or, for the disjoint (2,2,2) class, can be decided):
 * ``solve_2x2_free``       -- disjoint (2,2,2) instances whose size-2 regions
   have at most one common acceptable resident;
 * ``solve_222_disjoint``   -- general disjoint (2,2,2) instances: each
-  independent 2x2 block is decided on its own, and the capacity loop of
-  ``solve_2x2_free`` runs on the whole instance with the blocks' hospitals
-  closed.
+  independent 2x2 block is decided from its nine assignments on the
+  instance's own compiled view, and the capacity loop of ``solve_2x2_free``
+  runs on the whole instance with the blocks' hospitals closed.
 
 The paper's classification is two tables.  ``TRACTABLE`` lists the
 polynomial cells in routing order, and ``HARD`` the least class each
@@ -24,6 +24,7 @@ cell below the class.  ``solve`` runs one solver by its ``--algorithm`` name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from .exhaustive import exists_strongly_stable
@@ -35,7 +36,6 @@ from .model import (
     Region,
     SolveOutcome,
     classify,
-    common_residents,
 )
 from .reductions import ReductionVariant
 from .stability import is_strongly_stable
@@ -114,7 +114,8 @@ class SubInstance2x2:
     """Two residents and two hospitals that list only each other, tied by a region.
 
     Under disjoint regions such a block cannot interact with the rest of the
-    instance, so it can be solved in isolation.
+    instance, so it is decided in isolation: from its nine assignments, read
+    on the parent instance's compiled view (see :func:`solve_222_disjoint`).
     """
 
     residents: tuple[str, str]
@@ -209,7 +210,7 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
     for reg in instance.regions:
         if len(reg.hospitals) != 2:
             continue
-        common = common_residents(instance, reg.hospitals)
+        common = _pair_common(instance, reg.hospitals)
         if len(common) != 2:
             continue
         r1, r2 = sorted(common, key=resident_index.__getitem__)
@@ -218,16 +219,49 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
     return out
 
 
-def _block_instance(instance: Instance, sub: SubInstance2x2) -> Instance:
-    """A block of a disjoint (2,2,2) instance as an instance of its own (it is closed)."""
-    return Instance(
-        residents=sub.residents,
-        hospitals=sub.hospitals,
-        capacities={h: instance.capacities[h] for h in sub.hospitals},
-        resident_prefs={r: instance.resident_prefs[r] for r in sub.residents},
-        hospital_prefs={h: instance.hospital_prefs[h] for h in sub.hospitals},
-        regions=(sub.region,),
-    )
+def _pair_common(instance: Instance, hospitals: Iterable[str]) -> list[str]:
+    """The residents both hospitals of a size-2 region list."""
+    a, b = hospitals
+    listed = instance.index.hrank[b]
+    return [r for r in instance.hospital_prefs[a] if r in listed]
+
+
+def _block_pairs(instance: Instance, sub: SubInstance2x2) -> list[tuple[str, str]] | None:
+    """The pairs of a 2x2 block's canonically first strongly stable matching, or None.
+
+    The nine assignments come in the oracle's canonical order: ``r1`` outer,
+    each resident trying ``h1``, ``h2`` and then "unassigned".  The block's
+    agents list only each other and its region holds only its hospitals, so
+    feasibility and strong blocking read the block alone.  A pair (r, h)
+    blocks strongly when r prefers h to its assignment and either h holds a
+    resident it ranks below r, or h has room and the move keeps the cap: a
+    move inside the region keeps its load, one from "unassigned" adds one.
+    """
+    index = instance.index
+    rrank, hrank, capacities = index.rrank, index.hrank, instance.capacities
+    cap = sub.region.cap
+    (r1, r2), hospitals = sub.residents, sub.hospitals
+
+    def blocks(r: str, own: str | None, other: str, theirs: str | None, load: int) -> bool:
+        """Whether ``r`` at ``own`` has a strong blocking pair, ``other`` being at ``theirs``."""
+        rank = rrank[r]
+        for h in hospitals:
+            if h == own or (own is not None and rank[own] < rank[h]):
+                continue
+            held = theirs == h
+            if held and hrank[h][r] < hrank[h][other]:
+                return True
+            if held < capacities[h] and (own is not None or load < cap):
+                return True
+        return False
+
+    for a1, a2 in product((*hospitals, None), repeat=2):
+        load = (a1 is not None) + (a2 is not None)
+        if load > cap or any((a1 == h) + (a2 == h) > capacities[h] for h in hospitals):
+            continue
+        if not (blocks(r1, a1, r2, a2, load) or blocks(r2, a2, r1, a1, load)):
+            return [(r, h) for r, h in ((r1, a1), (r2, a2)) if h is not None]
+    return None
 
 
 def solve_2x2_free(instance: Instance) -> Assignment:
@@ -268,7 +302,7 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     if any(instance.capacities[h] > 2 for h in instance.hospitals):
         raise ValueError("solver requires hospital capacities of at most 2")
     for reg in instance.regions:
-        if len(reg.hospitals) == 2 and len(common_residents(instance, reg.hospitals)) > 1:
+        if len(reg.hospitals) == 2 and len(_pair_common(instance, reg.hospitals)) > 1:
             raise ValueError(
                 f"region {sorted(reg.hospitals)} has two common residents; "
                 "extract its 2x2 block first"
@@ -285,11 +319,8 @@ def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignm
     index = instance.index
     hospital_index = index.hospital_pos
     regions_of, caps = index.regions_of, index.region_caps
-    common = {
-        reg.hospitals: common_residents(instance, reg.hospitals)
-        for reg in instance.regions
-        if len(reg.hospitals) == 2
-    }
+    # The common residents of each size-2 region squeezed so far.
+    common: dict[int, list[str]] = {}
     da = DeferredAcceptance(instance, capacities)
     capacities = da.capacities
     load = dict.fromkeys(instance.hospitals, 0)
@@ -314,12 +345,14 @@ def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignm
             overloaded.pop()
         if not overloaded:
             return da.matching()
-        region = instance.regions[overloaded[-1]]
-        members = sorted(region.hospitals, key=hospital_index.__getitem__)
+        k = overloaded[-1]
+        members = sorted(instance.regions[k].hospitals, key=hospital_index.__getitem__)
+        if len(members) == 2 and k not in common:
+            common[k] = _pair_common(instance, members)
         if len(members) == 1:
             squeeze = members[0]
-        elif len(common[region.hospitals]) == 1:
-            (r,) = common[region.hospitals]
+        elif len(common[k]) == 1:
+            (r,) = common[k]
             h_plus, h_minus = sorted(members, key=index.rrank[r].__getitem__)
             squeeze = h_minus if capacities[h_minus] > 0 else h_plus
         else:
@@ -340,22 +373,25 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     Every 2x2 block is closed (see :func:`find_2x2_subinstances`) and so
     independent of the rest: the instance has a strongly stable matching
     exactly when each block has one, and the rest always has one.  Each
-    block takes its canonically first strongly stable matching, found by
-    exhaustive search over its at most nine assignments.  The rest is solved
-    by :func:`solve_2x2_free`'s loop on this instance itself, each capacity
-    capped by its hospital's list length and every block hospital closed:
-    block residents then stay unmatched, and the other agents never meet
-    them, so they get the matching the loop gives on the block-free rest.
+    block takes its canonically first strongly stable matching, read off its
+    nine assignments on this instance's compiled view (see
+    :func:`_block_pairs`): no block is built, compiled or searched, and the
+    certificate of the whole matching covers every block pair.  The rest is
+    solved by :func:`solve_2x2_free`'s loop on this instance itself, each
+    capacity capped by its hospital's list length and every block hospital
+    closed: block residents then stay unmatched, and the other agents never
+    meet them, so they get the matching the loop gives on the block-free
+    rest.
     """
     _require_class(instance, "alg5")
     subs = find_2x2_subinstances(instance)
     block_pairs: list[tuple[str, str]] = []
     capacities = shrunk_capacities(instance)
     for sub in subs:
-        solved = exists_strongly_stable(_block_instance(instance, sub))
-        if not solved.is_found:
+        pairs = _block_pairs(instance, sub)
+        if pairs is None:
             return SolveOutcome.none_exists()
-        block_pairs.extend(solved.matching.pairs)
+        block_pairs += pairs
         for h in sub.hospitals:
             capacities[h] = 0
     core = _capacity_loop(instance, capacities)

@@ -136,8 +136,8 @@ def test_cli_validates_once(command, compiles, monkeypatch, tmp_path, capsys):
     main(argv)
     assert len(loaded) == 1
     assert sum(c is loaded[0] for c in compiles) == 1
-    # example_g2 is one 2x2 block, which solve decides as an instance of its own.
-    assert len(compiles) == (2 if command == "solve" else 1)
+    # example_g2 is one 2x2 block, which solve decides on the instance's own view.
+    assert len(compiles) == 1
     assert compiled_once_each(compiles)
 
 
@@ -164,20 +164,19 @@ def two_blocks_and_a_squeeze():
     )
 
 
-def test_solve_222_disjoint_compiles_the_instance_and_each_block(compiles, tmp_path, capsys):
+def test_solve_222_disjoint_compiles_only_the_instance(compiles, tmp_path, capsys):
     inst = two_blocks_and_a_squeeze()
     out = solve_222_disjoint(inst)
     assert out.matching == Assignment.of(
         [("r1", "h1"), ("r2", "h2"), ("s1", "k1"), ("s2", "k2"), ("t2", "g1")]
     )
     assert compiles[0] is inst
-    assert len(compiles) == 1 + 2
+    assert len(compiles) == 1
     compiles.clear()
     path = tmp_path / "blocks.json"
     path.write_text(save_instance(inst))
     assert main(["solve", str(path)]) == 0
-    assert len(compiles) == 1 + 2
-    assert compiled_once_each(compiles)
+    assert len(compiles) == 1
 
 
 def test_each_instance_is_classified_once(monkeypatch, tmp_path):

@@ -455,6 +455,37 @@ def test_solve_222_disjoint_agrees_with_oracle():
     assert found and nones, "sweep should hit both verdicts"
 
 
+def test_solve_222_disjoint_decides_every_block_shape_as_the_oracle_does():
+    """Both list orders of each agent, capacities 0-3 and region caps 0-3: 1,024 shapes.
+
+    With two residents any capacity or cap of 2 or more acts alike, so these
+    are all the shapes.  Each block is declared after an unrelated pair and
+    its region, so the solver reads it at other positions of the parent's
+    view than the block built as its own instance has.
+    """
+    hospital_orders = (["h1", "h2"], ["h2", "h1"])
+    resident_orders = (["r1", "r2"], ["r2", "r1"])
+    found = nones = 0
+    for l1, l2, m1, m2, q1, q2, cap in product(
+        hospital_orders, hospital_orders, resident_orders, resident_orders,
+        range(4), range(4), range(4),
+    ):
+        inst = make_instance(
+            residents=[("s", ["t"]), ("r1", l1), ("r2", l2)],
+            hospitals=[("t", 1, ["s"]), ("h1", q1, m1), ("h2", q2, m2)],
+            regions=[({"t"}, 1), ({"h1", "h2"}, cap)],
+        )
+        pairs = block_oracle_pairs(inst)
+        outcome = solve_222_disjoint(inst)
+        if pairs is None:
+            assert outcome.status == "none-exists"
+            nones += 1
+        else:
+            assert outcome.matching == Assignment.of(pairs + [("s", "t")])
+            found += 1
+    assert found + nones == 1024 and found and nones
+
+
 # --- per-class random sweeps ------------------------------------------------
 
 
