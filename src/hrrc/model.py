@@ -228,18 +228,6 @@ def classify(instance: Instance) -> InstanceClass:
     return instance._class
 
 
-def common_residents(instance: Instance, hospitals: Iterable[str]) -> set[str]:
-    """Residents acceptable to every hospital in a non-empty group."""
-    hs = list(hospitals)
-    if not hs:
-        raise InstanceError("common_residents requires a non-empty hospital group")
-    prefs = instance.hospital_prefs
-    for h in hs:
-        if h not in prefs:
-            raise InstanceError(f"unknown hospital id: {h!r}")
-    return set(prefs[hs[0]]).intersection(*(prefs[h] for h in hs[1:]))
-
-
 def example_g2() -> Instance:
     """The canonical 2x2 fixture with one cap-1 region and no strongly stable matching.
 

@@ -17,11 +17,10 @@ instance documents can be read against the source formula; the occurrence
 table ties clause positions to variable occurrence slots and is what the
 cross-gadget wiring and the decoders navigate by.
 
-Witnesses are filled from the gadgets the builders emit: each clause gadget
-resident, in declaration order, takes the first hospital on its list with
-room left, its regions' caps included (first fit).  A slot hospital
-(``x'_i_k``) has room exactly when its literal is false in ppn-223 and
-ppn-232, and true in ppn-322: then the variable gadget leaves it free.
+Each target is one row of a table of gadget emitters.  ``encode_assignment``
+fills a witness first fit from the gadgets the builder emits, with the hospitals
+a false variable closes shut, so a slot hospital's (``x'_i_k``) room follows
+from its variable gadget rather than from a rule of its own.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from typing import Callable
 
 from .model import Assignment, Instance, make_instance, require_valid
 
@@ -63,6 +63,7 @@ SatAssignment = dict[int, bool]
 
 MODE_ORDINARY = "ordinary"
 MODE_ONE_IN_THREE = "one_in_three"
+_MAX_VARS = 20  # the most variables sat_brute accepts
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -175,9 +176,7 @@ def satisfies(formula: CnfFormula, assignment: SatAssignment, mode: str = MODE_O
     raise ValueError(f"unknown satisfaction mode {mode!r}")
 
 
-def sat_brute(
-    formula: CnfFormula, mode: str = MODE_ORDINARY, max_vars: int = 20
-) -> SatAssignment | None:
+def sat_brute(formula: CnfFormula, mode: str = MODE_ORDINARY) -> SatAssignment | None:
     """Lexicographically least satisfying assignment (false < true), or None.
 
     The search decides variables 1..n in order, False before True, so the
@@ -193,9 +192,9 @@ def sat_brute(
     """
     if mode not in (MODE_ORDINARY, MODE_ONE_IN_THREE):
         raise ValueError(f"unknown satisfaction mode {mode!r}")
-    if formula.num_vars > max_vars:
+    if formula.num_vars > _MAX_VARS:
         raise ValueError(
-            f"formula has {formula.num_vars} variables, above the brute-force bound {max_vars}"
+            f"formula has {formula.num_vars} variables, above the brute-force bound {_MAX_VARS}"
         )
     n = formula.num_vars
     exactly_one = mode == MODE_ONE_IN_THREE
@@ -485,7 +484,11 @@ def _w(j: int) -> str:
     return f"w'_{j}"
 
 
-def _require_all_variables_used(formula: CnfFormula) -> None:
+def _check_oneinthree(formula: CnfFormula) -> None:
+    """Raise ValueError unless ``reduce_oneinthree`` accepts ``formula``."""
+    violations = check_one_in_three_positive(formula)
+    if violations:
+        raise ValueError("formula is not positive exactly-one: " + "; ".join(violations))
     used = {abs(lit) for clause in formula.clauses for lit in clause}
     missing = sorted(set(range(1, formula.num_vars + 1)) - used)
     if missing:
@@ -495,32 +498,64 @@ def _require_all_variables_used(formula: CnfFormula) -> None:
         )
 
 
-def reduce_oneinthree(formula: CnfFormula) -> Instance:
-    """Translate a positive exactly-one formula into an overlapping-regions instance.
+def _variable_oneinthree(b: _Builder, i: int, _table: None) -> None:
+    b.resident(_y(i), [_x1(i)])
+    b.hospital(_x1(i), 1, [_y(i)])
 
-    Per variable: one resident/hospital pair that is matched exactly when the
-    variable is true.  Per clause: a 2x2 block with no stable configuration
-    of its own, plus cap-1 regions over every pair drawn from the block's
-    hospitals and the clause's three variable hospitals.  The caps make the
-    block harmless exactly when exactly one variable hospital is filled.
-    """
-    violations = check_one_in_three_positive(formula)
-    if violations:
-        raise ValueError("formula is not positive exactly-one: " + "; ".join(violations))
-    _require_all_variables_used(formula)
-    b = _Builder()
-    for i in range(1, formula.num_vars + 1):
-        b.resident(_y(i), [_x1(i)])
-        b.hospital(_x1(i), 1, [_y(i)])
-    for j, clause in enumerate(formula.clauses, start=1):
-        b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
-        b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-        b.hospital(_g(j, 2), 1, [_g(j, 3), _g(j, 1)])
-        b.hospital(_g(j, 4), 1, [_g(j, 1), _g(j, 3)])
-        members = [_g(j, 2), _g(j, 4)] + [_x1(lit) for lit in clause]
-        for pair in combinations(members, 2):
-            b.region(pair, 1)
-    return b.build()
+
+def _block(b: _Builder, j: int, *g2_first: str) -> None:
+    """Clause j's 2x2 block, unstable on its own; ``g2_first`` head g'_j_2's list."""
+    b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
+    b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
+    b.hospital(_g(j, 2), 1, [*g2_first, _g(j, 3), _g(j, 1)])
+    b.hospital(_g(j, 4), 1, [_g(j, 1), _g(j, 3)])
+
+
+def _clause_oneinthree(b: _Builder, j: int, clause: tuple[int, ...], _table: None) -> None:
+    _block(b, j)
+    members = [_g(j, 2), _g(j, 4)] + [_x1(lit) for lit in clause]
+    for pair in combinations(members, 2):
+        b.region(pair, 1)
+
+
+def _variable_223(b: _Builder, i: int, table: OccurrenceTable) -> None:
+    b.resident(_e(i, 1), [_b(i, 1), _b(i, 3)])
+    b.resident(_e(i, 2), [_b(i, 2), _b(i, 4)])
+    b.hospital(_b(i, 1), 1, [_e(i, 1)])
+    b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
+    b.hospital(_b(i, 2), 1, [_e(i, 2)])
+    b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
+    b.hospital(_b(i, 3), 1, [_e(i, 1)])
+    b.hospital(_b(i, 4), 1, [_e(i, 2)])
+    b.hospital(_x(i, 3), 1, [_c(*table.negative[i])])
+    b.region((_b(i, 1), _x(i, 1)), 1)
+    b.region((_b(i, 2), _x(i, 2)), 1)
+    b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
+
+
+def _variable_232(b: _Builder, i: int, table: OccurrenceTable) -> None:
+    b.resident(_e(i, 1), [_b(i, 1), _x(i, 3)])
+    b.resident(_e(i, 2), [_b(i, 2), _x(i, 3)])
+    b.hospital(_b(i, 1), 1, [_e(i, 1)])
+    b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
+    b.hospital(_b(i, 2), 1, [_e(i, 2)])
+    b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
+    b.hospital(_x(i, 3), 2, [_e(i, 1), _e(i, 2), _c(*table.negative[i])])
+    b.region((_b(i, 1), _x(i, 1)), 1)
+    b.region((_b(i, 2), _x(i, 2)), 1)
+
+
+def _variable_322(b: _Builder, i: int, table: OccurrenceTable) -> None:
+    b.resident(_e(i, 1), [_b(i, 1), _x(i, 1)])
+    b.resident(_e(i, 2), [_b(i, 1), _x(i, 2)])
+    b.resident(_e(i, 3), [_b(i, 2), _x(i, 3)])
+    b.resident(_e(i, 4), [_b(i, 2)])
+    b.hospital(_x(i, 1), 1, [_e(i, 1), _c(*table.positive[i][0])])
+    b.hospital(_x(i, 2), 1, [_e(i, 2), _c(*table.positive[i][1])])
+    b.hospital(_x(i, 3), 1, [_e(i, 3), _c(*table.negative[i])])
+    b.hospital(_b(i, 1), 2, [_e(i, 2), _e(i, 1)])
+    b.hospital(_b(i, 2), 2, [_e(i, 4), _e(i, 3)])
+    b.region((_b(i, 1), _b(i, 2)), 2)
 
 
 def _slot_hospital(table: OccurrenceTable, j: int, ell: int) -> str:
@@ -569,111 +604,126 @@ def _clause_322(b: _Builder, j: int, clause: tuple[int, ...], table: OccurrenceT
         b.hospital(y, 1, [u2, _z(j)])
 
 
-def _build_ppn_223(formula: CnfFormula, table: OccurrenceTable) -> Instance:
-    b = _Builder()
-    for i in range(1, formula.num_vars + 1):
-        b.resident(_e(i, 1), [_b(i, 1), _b(i, 3)])
-        b.resident(_e(i, 2), [_b(i, 2), _b(i, 4)])
-        b.hospital(_b(i, 1), 1, [_e(i, 1)])
-        b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
-        b.hospital(_b(i, 2), 1, [_e(i, 2)])
-        b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
-        b.hospital(_b(i, 3), 1, [_e(i, 1)])
-        b.hospital(_b(i, 4), 1, [_e(i, 2)])
-        b.hospital(_x(i, 3), 1, [_c(*table.negative[i])])
-        b.region((_b(i, 1), _x(i, 1)), 1)
-        b.region((_b(i, 2), _x(i, 2)), 1)
-        b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
-    for j, clause in enumerate(formula.clauses, start=1):
-        _common_clause(b, j, clause, table)
-    for j in range(1, len(formula.clauses) + 1):
-        b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
-        b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-        b.resident(_z(j), [_y(j), _t(j)])
-        b.hospital(_g(j, 2), 1, [_g(j, 3), _g(j, 1)])
-        b.hospital(_g(j, 4), 1, [_g(j, 1), _g(j, 3)])
-        b.hospital(_t(j), 1, [_z(j)])
-        b.region((_g(j, 2), _g(j, 4), _t(j)), 1)
-    return b.build()
+def _tail_223(b: _Builder, j: int) -> None:
+    _block(b, j)
+    b.resident(_z(j), [_y(j), _t(j)])
+    b.hospital(_t(j), 1, [_z(j)])
+    b.region((_g(j, 2), _g(j, 4), _t(j)), 1)
 
 
-def _build_ppn_232(formula: CnfFormula, table: OccurrenceTable) -> Instance:
-    b = _Builder()
-    for i in range(1, formula.num_vars + 1):
-        b.resident(_e(i, 1), [_b(i, 1), _x(i, 3)])
-        b.resident(_e(i, 2), [_b(i, 2), _x(i, 3)])
-        b.hospital(_b(i, 1), 1, [_e(i, 1)])
-        b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
-        b.hospital(_b(i, 2), 1, [_e(i, 2)])
-        b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
-        b.hospital(_x(i, 3), 2, [_e(i, 1), _e(i, 2), _c(*table.negative[i])])
-        b.region((_b(i, 1), _x(i, 1)), 1)
-        b.region((_b(i, 2), _x(i, 2)), 1)
-    for j, clause in enumerate(formula.clauses, start=1):
-        _common_clause(b, j, clause, table)
-    for j in range(1, len(formula.clauses) + 1):
-        b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
-        b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-        b.resident(_z(j), [_y(j), _g(j, 2)])
-        b.hospital(_g(j, 2), 1, [_z(j), _g(j, 3), _g(j, 1)])
-        b.hospital(_g(j, 4), 1, [_g(j, 1), _g(j, 3)])
-        b.region((_g(j, 2), _g(j, 4)), 1)
-    return b.build()
+def _tail_232(b: _Builder, j: int) -> None:
+    _block(b, j, _z(j))
+    b.resident(_z(j), [_y(j), _g(j, 2)])
+    b.region((_g(j, 2), _g(j, 4)), 1)
 
 
-def _build_ppn_322(formula: CnfFormula, table: OccurrenceTable) -> Instance:
-    b = _Builder()
-    for i in range(1, formula.num_vars + 1):
-        b.resident(_e(i, 1), [_b(i, 1), _x(i, 1)])
-        b.resident(_e(i, 2), [_b(i, 1), _x(i, 2)])
-        b.resident(_e(i, 3), [_b(i, 2), _x(i, 3)])
-        b.resident(_e(i, 4), [_b(i, 2)])
-        b.hospital(_x(i, 1), 1, [_e(i, 1), _c(*table.positive[i][0])])
-        b.hospital(_x(i, 2), 1, [_e(i, 2), _c(*table.positive[i][1])])
-        b.hospital(_x(i, 3), 1, [_e(i, 3), _c(*table.negative[i])])
-        b.hospital(_b(i, 1), 2, [_e(i, 2), _e(i, 1)])
-        b.hospital(_b(i, 2), 2, [_e(i, 4), _e(i, 3)])
-        b.region((_b(i, 1), _b(i, 2)), 2)
-    for j, clause in enumerate(formula.clauses, start=1):
-        _clause_322(b, j, clause, table)
-    for j in range(1, len(formula.clauses) + 1):
-        b.resident(_z(j), [_y(j), _g(j, 2), _g(j, 4)])
-        b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-        b.hospital(_g(j, 2), 1, [_g(j, 3), _z(j)])
-        b.hospital(_g(j, 4), 1, [_z(j), _g(j, 3)])
-        b.region((_g(j, 2), _g(j, 4)), 1)
-    return b.build()
+def _tail_322(b: _Builder, j: int) -> None:
+    b.resident(_z(j), [_y(j), _g(j, 2), _g(j, 4)])
+    b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
+    b.hospital(_g(j, 2), 1, [_g(j, 3), _z(j)])
+    b.hospital(_g(j, 4), 1, [_z(j), _g(j, 3)])
+    b.region((_g(j, 2), _g(j, 4)), 1)
 
 
-_PPN_BUILDERS = {
-    ReductionVariant.PPN_223: _build_ppn_223,
-    ReductionVariant.PPN_232: _build_ppn_232,
-    ReductionVariant.PPN_322: _build_ppn_322,
+@dataclass(frozen=True)
+class _Target:
+    """One reduction target: the gadgets its builder emits, and how witnesses read them.
+
+    The builder emits ``variable(b, i, table)`` per variable, ``clause(b, j,
+    clause, table)`` per clause, then ``tail(b, j)`` per clause; every witness
+    holds ``tail_pairs(j)`` in the tail.  A false variable i closes
+    ``closes(i)``; a matching reads i as ``read_as`` when it holds ``reads(i,
+    table)``.  ``table_of`` raises unless the reduction accepts a formula, and
+    returns the occurrence table that wires its gadgets.
+    """
+
+    variable: Callable[..., None]
+    clause: Callable[..., None]
+    tail: Callable[[_Builder, int], None]
+    tail_pairs: Callable[[int], tuple[tuple[str, str], ...]]
+    closes: Callable[[int], tuple[str, ...]]
+    read_as: bool = True
+    reads: Callable[..., tuple[str, str]] = lambda i, table: (_c(*table.negative[i]), _x(i, 3))
+    mode: str = MODE_ORDINARY
+    table_of: Callable[[CnfFormula], OccurrenceTable | None] = occurrence_table
+
+
+_ROWS = {
+    ReductionVariant.ONE_IN_THREE_222: _Target(
+        _variable_oneinthree, _clause_oneinthree, lambda b, j: None, lambda j: (),
+        closes=lambda i: (_x1(i),), reads=lambda i, _table: (_y(i), _x1(i)),
+        mode=MODE_ONE_IN_THREE, table_of=_check_oneinthree),
+    ReductionVariant.PPN_223: _Target(
+        _variable_223, _common_clause, _tail_223, lambda j: ((_z(j), _t(j)),),
+        closes=lambda i: (_b(i, 1), _b(i, 2))),
+    ReductionVariant.PPN_232: _Target(
+        _variable_232, _common_clause, _tail_232, lambda j: ((_z(j), _g(j, 2)),),
+        closes=lambda i: (_b(i, 1), _b(i, 2))),
+    ReductionVariant.PPN_322: _Target(
+        _variable_322, _clause_322, _tail_322, lambda j: ((_z(j), _y(j)), (_g(j, 3), _g(j, 4))),
+        closes=lambda i: (_b(i, 1),), read_as=False),
 }
+
+
+def _row(variant: ReductionVariant, formula: CnfFormula) -> tuple[_Target, OccurrenceTable | None]:
+    """``variant``'s row, and the occurrence table of a formula the row accepts."""
+    row = _ROWS.get(variant)
+    if row is None:
+        raise ValueError(f"unknown reduction variant {variant}")
+    return row, row.table_of(formula)
+
+
+def _gadgets(row: _Target, formula: CnfFormula, table: OccurrenceTable | None) -> _Builder:
+    """A builder holding ``row``'s variable gadgets, then its clause gadgets."""
+    b = _Builder()
+    for i in range(1, formula.num_vars + 1):
+        row.variable(b, i, table)
+    for j, clause in enumerate(formula.clauses, start=1):
+        row.clause(b, j, clause, table)
+    return b
+
+
+def _build(row: _Target, formula: CnfFormula, table: OccurrenceTable | None) -> Instance:
+    """``row``'s instance: its variable gadgets, clause gadgets, then tails."""
+    b = _gadgets(row, formula, table)
+    for j in range(1, len(formula.clauses) + 1):
+        row.tail(b, j)
+    return b.build()
+
+
+def reduce_oneinthree(formula: CnfFormula) -> Instance:
+    """Translate a positive exactly-one formula into an overlapping-regions instance.
+
+    Per variable: one resident/hospital pair that is matched exactly when the
+    variable is true.  Per clause: a 2x2 block with no stable configuration
+    of its own, plus cap-1 regions over every pair drawn from the block's
+    hospitals and the clause's three variable hospitals.  The caps make the
+    block harmless exactly when exactly one variable hospital is filled.
+    """
+    row, table = _row(ReductionVariant.ONE_IN_THREE_222, formula)
+    return _build(row, formula, table)
 
 
 def reduce_ppn(
     formula: CnfFormula, variant: ReductionVariant
 ) -> tuple[Instance, OccurrenceTable]:
     """Translate a PPN formula into a disjoint-regions instance of the target class."""
-    if variant not in _PPN_BUILDERS:
+    if variant is ReductionVariant.ONE_IN_THREE_222 or variant not in _ROWS:
         raise ValueError(f"variant {variant} is not a PPN reduction target")
-    table = occurrence_table(formula)
-    return _PPN_BUILDERS[variant](formula, table), table
+    row, table = _row(variant, formula)
+    return _build(row, formula, table), table
 
 
 # ---------------------------------------------------------------------------
 # Witness translation
 
 
-def _first_fit(b: _Builder, room: dict[str, int]) -> list[tuple[str, str]]:
+def _first_fit(b: _Builder, closed: set[str]) -> list[tuple[str, str]]:
     """Place each of ``b``'s residents, in declaration order, at the first hospital
-    on its list with room left in itself and in its regions; ``room`` holds the
-    room of listed hospitals that ``b`` does not declare."""
+    on its list with room left in itself and in its regions; a hospital in
+    ``closed`` has no room."""
     # A hospital's counters: its own room, then each region cap, shared by members.
-    counters = {h: [[left]] for h, left in room.items()}
-    for h, capacity, _prefs in b.hospitals:
-        counters[h] = [[capacity]]
+    counters = {h: [[0 if h in closed else capacity]] for h, capacity, _prefs in b.hospitals}
     for members, cap in b.regions:
         left = [cap]
         for h in members:
@@ -695,67 +745,20 @@ def encode_assignment(
 ) -> Assignment:
     """Build the strongly stable matching that a satisfying assignment induces.
 
-    Variable-gadget and clause-tail pairs are listed per target.  The clause
-    gadgets, emitted as the reduction emits them, are filled first fit (see
-    the module docstring): a slot hospital has room when its literal is
-    false (ppn-223, ppn-232) or true (ppn-322).
+    The variable and clause gadgets, emitted as the reduction emits them, are
+    filled first fit with the hospitals a false variable closes shut (see the
+    module docstring); each clause's tail adds the same pairs in every witness.
     """
-    if variant is ReductionVariant.ONE_IN_THREE_222:
-        if not satisfies(formula, assignment, MODE_ONE_IN_THREE):
-            raise ValueError("assignment does not satisfy the formula (exactly-one semantics)")
-        return Assignment.of(
-            (_y(i), _x1(i)) for i in range(1, formula.num_vars + 1) if assignment[i]
-        )
-
-    if not satisfies(formula, assignment, MODE_ORDINARY):
-        raise ValueError("assignment does not satisfy the formula")
-    table = occurrence_table(formula)
-    pairs: list[tuple[str, str]] = []
-    if variant is ReductionVariant.PPN_223:
-        for i in range(1, formula.num_vars + 1):
-            if assignment[i]:
-                pairs += [(_e(i, 1), _b(i, 1)), (_e(i, 2), _b(i, 2))]
-            else:
-                pairs += [(_e(i, 1), _b(i, 3)), (_e(i, 2), _b(i, 4))]
-        for j in range(1, len(formula.clauses) + 1):
-            pairs.append((_z(j), _t(j)))
-    elif variant is ReductionVariant.PPN_232:
-        for i in range(1, formula.num_vars + 1):
-            if assignment[i]:
-                pairs += [(_e(i, 1), _b(i, 1)), (_e(i, 2), _b(i, 2))]
-            else:
-                pairs += [(_e(i, 1), _x(i, 3)), (_e(i, 2), _x(i, 3))]
-        for j in range(1, len(formula.clauses) + 1):
-            pairs.append((_z(j), _g(j, 2)))
-    elif variant is ReductionVariant.PPN_322:
-        for i in range(1, formula.num_vars + 1):
-            if assignment[i]:
-                pairs += [(_e(i, 1), _b(i, 1)), (_e(i, 2), _b(i, 1)), (_e(i, 3), _x(i, 3))]
-            else:
-                pairs += [
-                    (_e(i, 1), _x(i, 1)),
-                    (_e(i, 2), _x(i, 2)),
-                    (_e(i, 3), _b(i, 2)),
-                    (_e(i, 4), _b(i, 2)),
-                ]
-        for j in range(1, len(formula.clauses) + 1):
-            pairs += [(_z(j), _y(j)), (_g(j, 3), _g(j, 4))]
-    else:
-        raise ValueError(f"unknown reduction variant {variant}")
-    if variant is ReductionVariant.PPN_322:
-        gadget, free_when = _clause_322, True
-    else:
-        gadget, free_when = _common_clause, False
-    b = _Builder()
-    for j, clause in enumerate(formula.clauses, start=1):
-        gadget(b, j, clause, table)
-    # Slots 1 and 2 hold variable i's positive literal, slot 3 its negation.
-    slot_room: dict[str, int] = {}
-    for i in range(1, formula.num_vars + 1):
-        positive_free = assignment[i] == free_when
-        slot_room[_x(i, 1)] = slot_room[_x(i, 2)] = positive_free
-        slot_room[_x(i, 3)] = not positive_free
-    return Assignment(frozenset(pairs + _first_fit(b, slot_room)))
+    row, table = _row(variant, formula)
+    if not satisfies(formula, assignment, row.mode):
+        semantics = " (exactly-one semantics)" if row.mode == MODE_ONE_IN_THREE else ""
+        raise ValueError("assignment does not satisfy the formula" + semantics)
+    b = _gadgets(row, formula, table)
+    false = [i for i in range(1, formula.num_vars + 1) if not assignment[i]]
+    pairs = _first_fit(b, {h for i in false for h in row.closes(i)})
+    for j in range(1, len(formula.clauses) + 1):
+        pairs += row.tail_pairs(j)
+    return Assignment(frozenset(pairs))
 
 
 def decode_matching(
@@ -763,22 +766,15 @@ def decode_matching(
 ) -> SatAssignment:
     """Read a satisfying assignment off a strongly stable matching.
 
-    The caller is responsible for the matching actually being strongly stable
-    on the reduced instance; only then is the result guaranteed to satisfy
-    the formula.
+    Variable i is read off one pair: ``(y'_i, x'_i)`` in one-in-three, where it
+    means true, and the negative occurrence at its slot, ``(c'_j_ell, x'_i_3)``,
+    in the PPN targets, where it means true in ppn-223 and ppn-232 and false in
+    ppn-322.  The caller is responsible for the matching actually being
+    strongly stable on the reduced instance; only then is the result
+    guaranteed to satisfy the formula.
     """
-    if variant is ReductionVariant.ONE_IN_THREE_222:
-        filled = {h for _r, h in matching.pairs}
-        return {i: _x1(i) in filled for i in range(1, formula.num_vars + 1)}
-    table = occurrence_table(formula)
-    out: SatAssignment = {}
-    for i in range(1, formula.num_vars + 1):
-        j, ell = table.negative[i]
-        slot_filled = (_c(j, ell), _x(i, 3)) in matching
-        if variant in (ReductionVariant.PPN_223, ReductionVariant.PPN_232):
-            out[i] = slot_filled
-        elif variant is ReductionVariant.PPN_322:
-            out[i] = not slot_filled
-        else:
-            raise ValueError(f"unknown reduction variant {variant}")
-    return out
+    row, table = _row(variant, formula)
+    return {
+        i: (row.reads(i, table) in matching) == row.read_as
+        for i in range(1, formula.num_vars + 1)
+    }

@@ -16,7 +16,14 @@ from __future__ import annotations
 from typing import Callable
 
 from hrrc.hr_core import rgs
-from hrrc.model import Assignment, Instance, Region, common_residents
+from hrrc.model import Assignment, Instance, Region
+
+
+def common_residents(instance: Instance, hospitals: frozenset[str]) -> set[str]:
+    """Residents acceptable to every hospital in a non-empty group."""
+    first, *rest = hospitals
+    prefs = instance.hospital_prefs
+    return set(prefs[first]).intersection(*(prefs[h] for h in rest))
 
 
 def squeeze_by_reruns(

@@ -24,7 +24,6 @@ from hrrc.model import (
     InstanceError,
     Region,
     classify,
-    common_residents,
     example_g2,
     instance_to_doc,
     load_instance,
@@ -118,19 +117,6 @@ def test_classify_rejects_invalid_instance():
     bad = make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, [])])
     with pytest.raises(InstanceError):
         classify(bad)
-
-
-def test_common_residents():
-    g2 = example_g2()
-    assert common_residents(g2, ["h1", "h2"]) == {"r1", "r2"}
-    assert common_residents(g2, ["h1"]) == set(g2.hospital_prefs["h1"])
-    with pytest.raises(InstanceError):
-        common_residents(g2, [])
-    disjoint_lists = make_instance(
-        residents=[("r1", ["h1"]), ("r2", ["h2"])],
-        hospitals=[("h1", 1, ["r1"]), ("h2", 1, ["r2"])],
-    )
-    assert common_residents(disjoint_lists, ["h1", "h2"]) == set()
 
 
 def test_instance_roundtrip_g2():

@@ -388,6 +388,26 @@ def test_encode_decode_roundtrip_all_satisfying_assignments(variant):
             assert decode_matching(f, m, variant) == a
 
 
+def test_encodings_seat_each_slot_by_its_literal():
+    # No code states the slot polarity any more: it follows from the variable
+    # gadgets.  Pin it on every slot, the positive ones decode never reads
+    # included: c'_j_ell sits at its slot hospital x'_i_kind exactly when the
+    # slot's literal is false (ppn-223, ppn-232) or true (ppn-322).
+    checks = 0
+    for f in SMALL_PPN_FORMULAS:
+        slots = occurrence_table(f).slots
+        for a in models(f):
+            for variant in PPN_VARIANTS:
+                m = encode_assignment(f, a, variant)
+                seated_when = variant is ReductionVariant.PPN_322
+                for (j, ell), (i, kind) in slots.items():
+                    literal = a[i] if kind < 3 else not a[i]
+                    seated = (f"c'_{j}_{ell}", f"x'_{i}_{kind}") in m
+                    assert seated == (literal == seated_when), (f, a, variant, (j, ell))
+                    checks += 1
+    assert checks == 11844
+
+
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
 def test_strongly_stable_matchings_decode_to_satisfying_assignments(variant):
     # The full sweep (351 reductions) takes about a minute; a seeded sample of
