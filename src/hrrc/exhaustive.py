@@ -21,6 +21,9 @@ options, the walk jumps straight back to the latest culprit (conflict-directed
 backjumping, Prosser 1993); the residents it skips cannot repair the
 conflict, so the subtrees it skips hold no leaf, and the walk yields the same
 leaves in the same order as a chronological one.
+
+The walk can also cover a closed slice of the residents, read on the
+instance's own compiled view (see :func:`first_leaf`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,16 @@ class _Search:
     so a prefix exhibiting such a pair can be abandoned: ``determined_at[i]``
     lists the hospitals whose pairs become final at resident ``i``.
 
-    Sets of residents are bit masks over declaration positions.
+    The walk covers ``residents``: every resident by default, or a closed
+    slice, which holds every resident who lists a hospital the slice lists
+    or a hospital of a region containing one.  Nothing outside it can change
+    what the walk reads, so the tables cover only the slice's residents, the
+    hospitals they list and the other members of those hospitals' regions.
+    Over independent closed blocks, each in declaration order, the first
+    leaf is the union of each block's first leaf, and a block with no leaf
+    blames only its own residents, so the walk ends when it runs out.
+
+    Sets of residents are bit masks over positions in the walk.
     ``listers[h]`` holds the residents who list ``h`` (the only ones who can
     change its load), and ``region_listers[k]`` those who list a hospital of
     region ``k``.  Each depth of the walk keeps a conflict set, the culprits
@@ -72,40 +84,51 @@ class _Search:
     culprits.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(self, instance: Instance, residents: tuple[str, ...] | None = None):
         index = instance.index
         self.instance = instance
-        self.residents = instance.residents
         self.capacities = instance.capacities
         self.rrank = index.rrank
         self.hrank = index.hrank
         self.region_caps = index.region_caps
         self.regions_of = regions_of = index.regions_of
-        self.resident_pos = index.resident_pos
         hospital_pos = index.hospital_pos
+        regions = instance.regions
+        if residents is None:
+            residents = instance.residents
+            self.resident_pos = index.resident_pos
+            hospitals = instance.hospitals
+            region_ids: Iterable[int] = range(len(regions))
+        else:
+            self.resident_pos = {r: i for i, r in enumerate(residents)}
+            listed = dict.fromkeys(h for r in residents for h in instance.resident_prefs[r])
+            region_ids = {k for h in listed for k in regions_of[h]}
+            # Members that nobody in the slice lists: a full region reads them.
+            unlisted = {h for k in region_ids for h in regions[k].hospitals}.difference(listed)
+            hospitals = [*listed, *unlisted]
+        self.residents = residents
         # Per resident position: acceptable hospitals in declaration order,
         # then None for "unassigned".
         self.options = [
             (*sorted(instance.resident_prefs[r], key=hospital_pos.__getitem__), None)
-            for r in self.residents
+            for r in residents
         ]
-        self.assignees: dict[str, list[str]] = {h: [] for h in instance.hospitals}
-        self.region_load = [0] * len(instance.regions)
-        self.assigned: list[str | None] = [None] * len(self.residents)
-        self.listers = listers = {
-            h: self._mask(prefs) for h, prefs in instance.hospital_prefs.items()
-        }
-        self.region_listers = [0] * len(instance.regions)
-        for k, reg in enumerate(instance.regions):
-            for h in reg.hospitals:
-                self.region_listers[k] |= listers[h]
-        self.determined_at: list[list[str]] = [[] for _ in self.residents]
-        for h in instance.hospitals:
+        self.assignees: dict[str, list[str]] = {h: [] for h in hospitals}
+        self.region_load = [0] * len(regions)
+        self.assigned: list[str | None] = [None] * len(residents)
+        prefs = instance.hospital_prefs
+        self.listers = listers = {h: self._mask(prefs[h]) for h in hospitals}
+        self.region_listers = region_listers = [0] * len(regions)
+        for k in region_ids:
+            for h in regions[k].hospitals:
+                region_listers[k] |= listers[h]
+        self.determined_at: list[list[str]] = [[] for _ in residents]
+        for h in hospitals:
             watchers = listers[h]
             if not watchers:
                 continue
             for k in regions_of[h]:
-                watchers |= self.region_listers[k]
+                watchers |= region_listers[k]
             self.determined_at[watchers.bit_length() - 1].append(h)
 
     def _mask(self, residents: Iterable[str]) -> int:
@@ -230,8 +253,8 @@ class _Search:
             cursor[i] = conflicts[i] = 0
 
 
-def _certified(search: _Search, matching: Assignment) -> Assignment:
-    if not is_strongly_stable(search.instance, matching):
+def _certified(instance: Instance, matching: Assignment) -> Assignment:
+    if not is_strongly_stable(instance, matching):
         raise RuntimeError("exhaustive search returned a matching that is not strongly stable")
     return matching
 
@@ -244,13 +267,23 @@ def enumerate_feasible(instance: Instance) -> Iterator[Assignment]:
 def strongly_stable_set(instance: Instance) -> set[Assignment]:
     """All strongly stable matchings: the leaves of the pruned walk, each certified."""
     search = _Search(instance)
-    return {_certified(search, m) for m in search.leaves(search.doomed)}
+    return {_certified(instance, m) for m in search.leaves(search.doomed)}
+
+
+def first_leaf(instance: Instance, residents: tuple[str, ...] | None = None) -> Assignment | None:
+    """The first leaf of the pruned walk over ``residents``, or None if none survives.
+
+    ``residents`` is every resident by default, or a closed slice (see
+    :class:`_Search`).  The leaf is not certified: a slice's pairs alone
+    need not be strongly stable on the whole instance.
+    """
+    search = _Search(instance, residents)
+    return next(search.leaves(search.doomed), None)
 
 
 def exists_strongly_stable(instance: Instance) -> SolveOutcome:
     """Decide existence; a found matching is the canonically first one."""
-    search = _Search(instance)
-    found = next(search.leaves(search.doomed), None)
+    found = first_leaf(instance)
     if found is None:
         return SolveOutcome.none_exists()
-    return SolveOutcome.found(_certified(search, found))
+    return SolveOutcome.found(_certified(instance, found))

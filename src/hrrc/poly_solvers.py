@@ -8,8 +8,8 @@ exists (or, for the disjoint (2,2,2) class, can be decided):
 * ``solve_hosp_len1``      -- every hospital lists at most one resident;
 * ``solve_2x2_free``       -- disjoint (2,2,2) instances whose size-2 regions
   have at most one common acceptable resident;
-* ``solve_222_disjoint``   -- general disjoint (2,2,2) instances: each
-  independent 2x2 block is decided from its nine assignments on the
+* ``solve_222_disjoint``   -- general disjoint (2,2,2) instances: one run of
+  the exhaustive oracle's walk decides every independent 2x2 block on the
   instance's own compiled view, and the capacity loop of ``solve_2x2_free``
   runs on the whole instance with the blocks' hospitals closed.
 
@@ -24,10 +24,9 @@ cell below the class.  ``solve`` runs one solver by its ``--algorithm`` name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Iterable, Mapping
 
-from .exhaustive import exists_strongly_stable
+from .exhaustive import exists_strongly_stable, first_leaf
 from .hr_core import DeferredAcceptance, rgs, shrunk_capacities
 from .model import (
     Assignment,
@@ -114,8 +113,8 @@ class SubInstance2x2:
     """Two residents and two hospitals that list only each other, tied by a region.
 
     Under disjoint regions such a block cannot interact with the rest of the
-    instance, so it is decided in isolation: from its nine assignments, read
-    on the parent instance's compiled view (see :func:`solve_222_disjoint`).
+    instance, and its residents are a closed slice of the parent instance's
+    residents for the oracle's walk (see :func:`solve_222_disjoint`).
     """
 
     residents: tuple[str, str]
@@ -226,44 +225,6 @@ def _pair_common(instance: Instance, hospitals: Iterable[str]) -> list[str]:
     return [r for r in instance.hospital_prefs[a] if r in listed]
 
 
-def _block_pairs(instance: Instance, sub: SubInstance2x2) -> list[tuple[str, str]] | None:
-    """The pairs of a 2x2 block's canonically first strongly stable matching, or None.
-
-    The nine assignments come in the oracle's canonical order: ``r1`` outer,
-    each resident trying ``h1``, ``h2`` and then "unassigned".  The block's
-    agents list only each other and its region holds only its hospitals, so
-    feasibility and strong blocking read the block alone.  A pair (r, h)
-    blocks strongly when r prefers h to its assignment and either h holds a
-    resident it ranks below r, or h has room and the move keeps the cap: a
-    move inside the region keeps its load, one from "unassigned" adds one.
-    """
-    index = instance.index
-    rrank, hrank, capacities = index.rrank, index.hrank, instance.capacities
-    cap = sub.region.cap
-    (r1, r2), hospitals = sub.residents, sub.hospitals
-
-    def blocks(r: str, own: str | None, other: str, theirs: str | None, load: int) -> bool:
-        """Whether ``r`` at ``own`` has a strong blocking pair, ``other`` being at ``theirs``."""
-        rank = rrank[r]
-        for h in hospitals:
-            if h == own or (own is not None and rank[own] < rank[h]):
-                continue
-            held = theirs == h
-            if held and hrank[h][r] < hrank[h][other]:
-                return True
-            if held < capacities[h] and (own is not None or load < cap):
-                return True
-        return False
-
-    for a1, a2 in product((*hospitals, None), repeat=2):
-        load = (a1 is not None) + (a2 is not None)
-        if load > cap or any((a1 == h) + (a2 == h) > capacities[h] for h in hospitals):
-            continue
-        if not (blocks(r1, a1, r2, a2, load) or blocks(r2, a2, r1, a1, load)):
-            return [(r, h) for r, h in ((r1, a1), (r2, a2)) if h is not None]
-    return None
-
-
 def solve_2x2_free(instance: Instance) -> Assignment:
     """Solve disjoint (2,2,2) instances that contain no 2x2 block.
 
@@ -301,12 +262,12 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     _require_class(instance, "alg5")
     if any(instance.capacities[h] > 2 for h in instance.hospitals):
         raise ValueError("solver requires hospital capacities of at most 2")
-    for reg in instance.regions:
-        if len(reg.hospitals) == 2 and len(_pair_common(instance, reg.hospitals)) > 1:
-            raise ValueError(
-                f"region {sorted(reg.hospitals)} has two common residents; "
-                "extract its 2x2 block first"
-            )
+    blocks = find_2x2_subinstances(instance)
+    if blocks:
+        raise ValueError(
+            f"region {sorted(blocks[0].region.hospitals)} has two common residents; "
+            "extract its 2x2 block first"
+        )
     return _capacity_loop(instance, instance.capacities)
 
 
@@ -372,11 +333,12 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
 
     Every 2x2 block is closed (see :func:`find_2x2_subinstances`) and so
     independent of the rest: the instance has a strongly stable matching
-    exactly when each block has one, and the rest always has one.  Each
-    block takes its canonically first strongly stable matching, read off its
-    nine assignments on this instance's compiled view (see
-    :func:`_block_pairs`): no block is built, compiled or searched, and the
-    certificate of the whole matching covers every block pair.  The rest is
+    exactly when each block has one, and the rest always has one.  One run
+    of the exhaustive oracle's walk over every block's residents, on this
+    instance's compiled view, yields the union of each block's canonically
+    first strongly stable matching, or no leaf when some block has none (see
+    :func:`hrrc.exhaustive.first_leaf`); the certificate of the whole
+    matching covers every block pair.  The rest is
     solved by :func:`solve_2x2_free`'s loop on this instance itself, each
     capacity capped by its hospital's list length and every block hospital
     closed: block residents then stay unmatched, and the other agents never
@@ -385,17 +347,15 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     """
     _require_class(instance, "alg5")
     subs = find_2x2_subinstances(instance)
-    block_pairs: list[tuple[str, str]] = []
+    block_leaf = first_leaf(instance, tuple(r for sub in subs for r in sub.residents))
+    if block_leaf is None:
+        return SolveOutcome.none_exists()
     capacities = shrunk_capacities(instance)
     for sub in subs:
-        pairs = _block_pairs(instance, sub)
-        if pairs is None:
-            return SolveOutcome.none_exists()
-        block_pairs += pairs
         for h in sub.hospitals:
             capacities[h] = 0
     core = _capacity_loop(instance, capacities)
-    matching = Assignment.of(block_pairs + list(core.pairs))
+    matching = Assignment(block_leaf.pairs | core.pairs)
     return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint"))
 
 

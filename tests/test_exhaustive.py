@@ -15,6 +15,7 @@ from reference_walk import (
 from hrrc.exhaustive import (
     enumerate_feasible,
     exists_strongly_stable,
+    first_leaf,
     strongly_stable_set,
 )
 from hrrc.model import Assignment, example_g2, make_instance
@@ -148,6 +149,65 @@ def test_backjumping_walk_equals_the_chronological_walk():
         assert strongly_stable_set(inst) == strongly_stable_set_chronologically(inst)
         verdicts[out.status] += 1
     assert verdicts["none-exists"] >= 30, verdicts
+
+
+def renamed_rows(instance, tag):
+    """``instance``'s resident, hospital and region rows with ``tag`` before every id."""
+    return (
+        [(tag + r, [tag + h for h in instance.resident_prefs[r]]) for r in instance.residents],
+        [
+            (tag + h, instance.capacities[h], [tag + r for r in instance.hospital_prefs[h]])
+            for h in instance.hospitals
+        ],
+        [({tag + h for h in reg.hospitals}, reg.cap) for reg in instance.regions],
+    )
+
+
+def interleaved(rng, a, b):
+    """The items of ``a`` and ``b`` in a random merge that keeps each one's order."""
+    sources = [iter(a)] * len(a) + [iter(b)] * len(b)
+    rng.shuffle(sources)
+    return [next(source) for source in sources]
+
+
+def test_first_leaf_on_a_slice_equals_the_oracle_on_its_own_instance():
+    # Two draws, renamed apart, are declared interleaved in one instance.  The
+    # walk over the first draw's residents is a closed slice of that instance:
+    # it must give the first draw's own verdict and matching, although every
+    # position and region index differs.  Tight draws reach none-exists, and
+    # regions that hold a hospital nobody lists check that the slice's tables
+    # cover every member of a region it reads.
+    rng = random.Random(43)
+    tight = dict(min_capacity=1, max_capacity=1, min_region_cap=1, max_region_cap=1, edge_prob=0.9)
+    verdicts = {"found": 0, "none-exists": 0}
+    unlisted = 0
+    for draw in range(1500):
+        a, b = (
+            random_instance(
+                rng,
+                max_residents=5,
+                max_hospitals=5,
+                gamma=rng.choice([None, 2, 3]),
+                disjoint=rng.random() < 0.3,
+                **(tight if draw % 2 else {}),
+            )
+            for _ in range(2)
+        )
+        rows_a, rows_b = renamed_rows(a, "a"), renamed_rows(b, "b")
+        joint = make_instance(*(interleaved(rng, x, y) for x, y in zip(rows_a, rows_b)))
+        leaf = first_leaf(joint, tuple(r for r, _ in rows_a[0]))
+        out = exists_strongly_stable(a)
+        if out.is_found:
+            assert leaf == Assignment.of(("a" + r, "a" + h) for r, h in out.matching.pairs)
+        else:
+            assert leaf is None
+        verdicts[out.status] += 1
+        unlisted += any(
+            any(a.hospital_prefs[h] for h in reg.hospitals)
+            and not all(a.hospital_prefs[h] for h in reg.hospitals)
+            for reg in a.regions
+        )
+    assert verdicts["none-exists"] >= 20 and unlisted >= 80, (verdicts, unlisted)
 
 
 def test_strongly_stable_set_on_a_deep_instance():

@@ -216,7 +216,9 @@ def test_solve_2x2_free_drives_capacity_to_zero():
 
 
 def test_solve_2x2_free_rejects_blocks_and_big_caps():
-    with pytest.raises(ValueError, match="common residents"):
+    with pytest.raises(ValueError, match=re.escape(
+        "region ['h1', 'h2'] has two common residents; extract its 2x2 block first"
+    )):
         solve_2x2_free(example_g2())
     big = make_instance(
         residents=[("r", ["h"])], hospitals=[("h", 3, ["r"])]
@@ -300,14 +302,17 @@ def criterion_3_draws(seed, count):
             )
 
 
-def bench_disjoint_instances(sizes):
-    """Disjoint (2,2,2) instances from the benchmark's generator, one per size."""
+def bench_disjoint_instances(sizes, with_g2=False):
+    """Disjoint (2,2,2) instances from the benchmark's generator, one per size.
+
+    With ``with_g2`` each holds one unsolvable block among solvable ones.
+    """
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     rng = random.Random(5)
-    return [instance_from_doc(inputs.disjoint_doc(rng, n, False)) for n in sizes]
+    return [instance_from_doc(inputs.disjoint_doc(rng, n, with_g2)) for n in sizes]
 
 
 def test_solve_222_disjoint_equals_blocks_and_rerun_reference_on_criterion_3_draws():
@@ -317,6 +322,11 @@ def test_solve_222_disjoint_equals_blocks_and_rerun_reference_on_criterion_3_dra
 
 def test_solve_222_disjoint_equals_blocks_and_rerun_reference_at_bench_sizes():
     for inst in bench_disjoint_instances((120, 250, 1000)):
+        squeezed_against_reference(inst)
+    # One unsolvable block among 2 to 24 solvable ones: the one walk over
+    # every block's residents must still end in none-exists.
+    for inst in bench_disjoint_instances((120, 250, 1000), with_g2=True):
+        assert block_oracle_pairs(inst) is None
         squeezed_against_reference(inst)
 
 
