@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from .model import Assignment, Instance, SolveOutcome
-from .stability import is_strongly_stable
+from .stability import certified
 
 
 class _Search:
@@ -253,12 +253,6 @@ class _Search:
             cursor[i] = conflicts[i] = 0
 
 
-def _certified(instance: Instance, matching: Assignment) -> Assignment:
-    if not is_strongly_stable(instance, matching):
-        raise RuntimeError("exhaustive search returned a matching that is not strongly stable")
-    return matching
-
-
 def enumerate_feasible(instance: Instance) -> Iterator[Assignment]:
     """Yield every feasible matching exactly once, in canonical order."""
     yield from _Search(instance).leaves()
@@ -267,7 +261,7 @@ def enumerate_feasible(instance: Instance) -> Iterator[Assignment]:
 def strongly_stable_set(instance: Instance) -> set[Assignment]:
     """All strongly stable matchings: the leaves of the pruned walk, each certified."""
     search = _Search(instance)
-    return {_certified(instance, m) for m in search.leaves(search.doomed)}
+    return {certified(instance, m, "strongly_stable_set") for m in search.leaves(search.doomed)}
 
 
 def first_leaf(instance: Instance, residents: tuple[str, ...] | None = None) -> Assignment | None:
@@ -286,4 +280,4 @@ def exists_strongly_stable(instance: Instance) -> SolveOutcome:
     found = first_leaf(instance)
     if found is None:
         return SolveOutcome.none_exists()
-    return SolveOutcome.found(_certified(instance, found))
+    return SolveOutcome.found(certified(instance, found, "exists_strongly_stable"))

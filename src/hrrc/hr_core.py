@@ -1,10 +1,15 @@
-"""Resident-proposing deferred acceptance, resumable after capacity cuts, and shrinking."""
+"""Deferred acceptance, resumable after capacity cuts; shrinking; the greedy fill.
+
+:func:`greedy` is the package's one greedy fill: it decides the classes whose
+residents or hospitals list at most one agent, and fills the witnesses of the
+hardness reductions.
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .model import Assignment, Instance
 
@@ -109,3 +114,33 @@ def shrink(instance: Instance) -> Instance:
     hospital can never hold more residents than it finds acceptable.
     """
     return replace(instance, capacities=shrunk_capacities(instance))
+
+
+def greedy(
+    candidates: Iterable[tuple[str, str]],
+    capacities: Mapping[str, int],
+    regions: Iterable[tuple[Iterable[str], int]],
+) -> Assignment:
+    """Take each candidate (r, h), in order, while r is free and h has room.
+
+    h has room while it and every region holding it are under their caps:
+    ``capacities`` gives each hospital's room and ``regions`` holds one
+    ``(hospitals, cap)`` row per region; a hospital at capacity 0 is closed.
+    """
+    # A hospital's counters of room left: its own, then one per region
+    # holding it, shared with the region's other members.
+    room = {h: [[q]] for h, q in capacities.items()}
+    for members, cap in regions:
+        left = [cap]
+        for h in members:
+            room[h].append(left)
+    taken: dict[str, str] = {}
+    for r, h in candidates:
+        if r in taken:
+            continue
+        counters = room[h]
+        if 0 not in [left[0] for left in counters]:
+            for left in counters:
+                left[0] -= 1
+            taken[r] = h
+    return Assignment(frozenset(taken.items()))

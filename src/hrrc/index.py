@@ -47,6 +47,11 @@ class InstanceIndex:
             out.append("duplicate resident ids in declaration")
         if len(hpos) != len(hospitals):
             out.append("duplicate hospital ids in declaration")
+        # The documents hold string ids only, so the writers need them too.
+        if not all(map(str.__instancecheck__, residents)):
+            out.append("non-string resident ids in declaration")
+        if not all(map(str.__instancecheck__, hospitals)):
+            out.append("non-string hospital ids in declaration")
         shared = rpos.keys() & hpos.keys()
         if shared:
             out.append(f"ids used on both sides: {sorted(shared)}")

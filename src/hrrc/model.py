@@ -87,17 +87,11 @@ class Instance:
 
     @cached_property
     def _class(self) -> InstanceClass:
-        require_valid(self)
+        # Two regions overlap exactly when some hospital sits in both.
+        disjoint = all(len(ks) < 2 for ks in self.index.regions_of.values())
         alpha = max((len(p) for p in self.resident_prefs.values()), default=0)
         beta = max((len(p) for p in self.hospital_prefs.values()), default=0)
         gamma = max((len(reg.hospitals) for reg in self.regions), default=0)
-        membership: set[str] = set()
-        disjoint = True
-        for reg in self.regions:
-            if membership & reg.hospitals:
-                disjoint = False
-                break
-            membership |= reg.hospitals
         return InstanceClass(alpha, beta, gamma, disjoint)
 
 

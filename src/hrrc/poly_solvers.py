@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .exhaustive import exists_strongly_stable, first_leaf
-from .hr_core import DeferredAcceptance, rgs, shrunk_capacities
+from .hr_core import DeferredAcceptance, greedy, rgs, shrunk_capacities
 from .model import (
     Assignment,
     Instance,
@@ -37,7 +37,7 @@ from .model import (
     classify,
 )
 from .reductions import ReductionVariant
-from .stability import is_strongly_stable
+from .stability import certified
 
 DEFAULT_BRUTE_LIMIT = 12
 
@@ -122,17 +122,6 @@ class SubInstance2x2:
     region: Region
 
 
-def certified(instance: Instance, matching: Assignment, solver: str) -> Assignment:
-    """``matching``, once the checker confirms it is strongly stable.
-
-    Raises :class:`RuntimeError` naming ``solver`` otherwise: a solver
-    returned a wrong answer.
-    """
-    if not is_strongly_stable(instance, matching):
-        raise RuntimeError(f"{solver} produced a matching that is not strongly stable")
-    return matching
-
-
 def solve_regions_size1(instance: Instance) -> Assignment:
     """Solve instances whose regions are all singletons.
 
@@ -147,24 +136,6 @@ def solve_regions_size1(instance: Instance) -> Assignment:
     return rgs(instance, ignore_regions=True, capacities=capacities)
 
 
-def _greedy(instance: Instance, candidates: Iterable[tuple[str, str]]) -> Assignment:
-    """Take each candidate (r, h), in order, while r is free and h and its regions have room."""
-    hospital_load = dict.fromkeys(instance.hospitals, 0)
-    caps, regions_of = instance.index.region_caps, instance.index.regions_of
-    region_load = [0] * len(caps)
-    taken: dict[str, str] = {}
-    for r, h in candidates:
-        if r in taken or hospital_load[h] >= instance.capacities[h]:
-            continue
-        if any(region_load[k] >= caps[k] for k in regions_of[h]):
-            continue
-        taken[r] = h
-        hospital_load[h] += 1
-        for k in regions_of[h]:
-            region_load[k] += 1
-    return Assignment.of(taken.items())
-
-
 def solve_res_len1(instance: Instance) -> Assignment:
     """Solve instances where every resident lists at most one hospital.
 
@@ -172,8 +143,9 @@ def solve_res_len1(instance: Instance) -> Assignment:
     capacity and every region containing it stay strictly under their caps.
     """
     _require_class(instance, "alg2")
-    prefs = instance.hospital_prefs
-    return _greedy(instance, ((r, h) for h in instance.hospitals for r in prefs[h]))
+    candidates = ((r, h) for h in instance.hospitals for r in instance.hospital_prefs[h])
+    regions = ((reg.hospitals, reg.cap) for reg in instance.regions)
+    return greedy(candidates, instance.capacities, regions)
 
 
 def solve_hosp_len1(instance: Instance) -> Assignment:
@@ -183,8 +155,9 @@ def solve_hosp_len1(instance: Instance) -> Assignment:
     containing regions all have room.
     """
     _require_class(instance, "alg3")
-    prefs = instance.resident_prefs
-    return _greedy(instance, ((r, h) for r in instance.residents for h in prefs[r]))
+    candidates = ((r, h) for r in instance.residents for h in instance.resident_prefs[r])
+    regions = ((reg.hospitals, reg.cap) for reg in instance.regions)
+    return greedy(candidates, instance.capacities, regions)
 
 
 def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:

@@ -30,6 +30,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Callable
 
+from .hr_core import greedy
 from .model import Assignment, Instance, make_instance, require_valid
 
 
@@ -718,36 +719,16 @@ def reduce_ppn(
 # Witness translation
 
 
-def _first_fit(b: _Builder, closed: set[str]) -> list[tuple[str, str]]:
-    """Place each of ``b``'s residents, in declaration order, at the first hospital
-    on its list with room left in itself and in its regions; a hospital in
-    ``closed`` has no room."""
-    # A hospital's counters: its own room, then each region cap, shared by members.
-    counters = {h: [[0 if h in closed else capacity]] for h, capacity, _prefs in b.hospitals}
-    for members, cap in b.regions:
-        left = [cap]
-        for h in members:
-            counters[h].append(left)
-    pairs = []
-    for r, prefs in b.residents:
-        for h in prefs:
-            cells = counters[h]
-            if 0 not in [left[0] for left in cells]:
-                for left in cells:
-                    left[0] -= 1
-                pairs.append((r, h))
-                break
-    return pairs
-
-
 def encode_assignment(
     formula: CnfFormula, assignment: SatAssignment, variant: ReductionVariant
 ) -> Assignment:
     """Build the strongly stable matching that a satisfying assignment induces.
 
     The variable and clause gadgets, emitted as the reduction emits them, are
-    filled first fit with the hospitals a false variable closes shut (see the
-    module docstring); each clause's tail adds the same pairs in every witness.
+    filled first fit by :func:`hrrc.hr_core.greedy`, each resident in
+    declaration order taking the first hospital on its list with room, with
+    the hospitals a false variable closes shut (see the module docstring);
+    each clause's tail adds the same pairs in every witness.
     """
     row, table = _row(variant, formula)
     if not satisfies(formula, assignment, row.mode):
@@ -755,10 +736,12 @@ def encode_assignment(
         raise ValueError("assignment does not satisfy the formula" + semantics)
     b = _gadgets(row, formula, table)
     false = [i for i in range(1, formula.num_vars + 1) if not assignment[i]]
-    pairs = _first_fit(b, {h for i in false for h in row.closes(i)})
-    for j in range(1, len(formula.clauses) + 1):
-        pairs += row.tail_pairs(j)
-    return Assignment(frozenset(pairs))
+    closed = {h for i in false for h in row.closes(i)}
+    candidates = ((r, h) for r, prefs in b.residents for h in prefs)
+    capacities = {h: 0 if h in closed else capacity for h, capacity, _prefs in b.hospitals}
+    fill = greedy(candidates, capacities, b.regions)
+    tails = (pair for j in range(1, len(formula.clauses) + 1) for pair in row.tail_pairs(j))
+    return Assignment(fill.pairs.union(tails))
 
 
 def decode_matching(

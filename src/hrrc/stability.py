@@ -5,7 +5,8 @@ h to its current hospital, and h is undersubscribed or prefers r to one of
 its current assignees.  A blocking pair blocks *strongly* when moving r to h
 keeps every regional cap satisfied, or when h prefers r to a current
 assignee.  A feasible matching with no strong blocking pair is strongly
-stable.
+stable.  :func:`certified` holds the package's one certificate: every matching
+a solver finds passes :func:`is_strongly_stable` there before it is returned.
 
 Every public function reads the matching once into a :class:`_MatchingState`
 over the instance's :class:`~hrrc.index.InstanceIndex`: who sits where, each
@@ -20,7 +21,7 @@ only at the regions it adds load to.  An invalid instance raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import Assignment, Instance
 
@@ -56,7 +57,7 @@ class BlockingWitness:
         return out
 
 
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Everything ``hrrc check`` prints about one assignment, computed once.
 
     ``violations`` is empty exactly when the assignment is a matching; the
@@ -64,19 +65,10 @@ class StabilityReport:
     empty unless the matching is feasible.
     """
 
-    __slots__ = ("violations", "feasible", "blocking_pairs", "strong_blocking_pairs")
-
-    def __init__(
-        self,
-        violations: list[str],
-        feasible: bool,
-        blocking_pairs: list[tuple[str, str]],
-        strong_blocking_pairs: list[BlockingWitness],
-    ):
-        self.violations = violations
-        self.feasible = feasible
-        self.blocking_pairs = blocking_pairs
-        self.strong_blocking_pairs = strong_blocking_pairs
+    violations: list[str]
+    feasible: bool
+    blocking_pairs: list[tuple[str, str]]
+    strong_blocking_pairs: list[BlockingWitness]
 
     @property
     def strongly_stable(self) -> bool:
@@ -243,6 +235,17 @@ def is_strongly_stable(instance: Instance, matching: Assignment) -> bool:
     if not state.feasible:
         return False
     return next(_witnesses(state, _blocking(state)), None) is None
+
+
+def certified(instance: Instance, matching: Assignment, solver: str) -> Assignment:
+    """``matching``, once :func:`is_strongly_stable` confirms it.
+
+    Raises :class:`RuntimeError` naming ``solver`` otherwise: a solver
+    returned a wrong answer.
+    """
+    if not is_strongly_stable(instance, matching):
+        raise RuntimeError(f"{solver} produced a matching that is not strongly stable")
+    return matching
 
 
 def report(instance: Instance, assignment: Assignment) -> StabilityReport:

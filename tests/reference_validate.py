@@ -20,6 +20,10 @@ def validate(instance: Instance) -> list[str]:
         out.append("duplicate resident ids in declaration")
     if len(hset) != len(hospitals):
         out.append("duplicate hospital ids in declaration")
+    if any(not isinstance(r, str) for r in residents):
+        out.append("non-string resident ids in declaration")
+    if any(not isinstance(h, str) for h in hospitals):
+        out.append("non-string hospital ids in declaration")
     shared = rset & hset
     if shared:
         out.append(f"ids used on both sides: {sorted(shared)}")

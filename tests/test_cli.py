@@ -345,9 +345,9 @@ def test_solve_out_to_missing_directory_is_an_error(capsys, tmp_path):
 
 
 def test_failed_certificate_exits_2(capsys, tmp_path, monkeypatch):
-    import hrrc.poly_solvers as poly_solvers
+    import hrrc.stability as stability
 
-    monkeypatch.setattr(poly_solvers, "is_strongly_stable", lambda *a, **k: False)
+    monkeypatch.setattr(stability, "is_strongly_stable", lambda *a, **k: False)
     code, out, err = run(capsys, "solve", _cap2_file(tmp_path))
     assert code == 2
     assert err.startswith("error: internal error: RuntimeError")
@@ -363,10 +363,12 @@ def test_failed_certificate_exits_2(capsys, tmp_path, monkeypatch):
         ("alg2", "solve_res_len1"),
         ("alg3", "solve_hosp_len1"),
         ("alg4", "solve_2x2_free"),
+        ("alg5", "solve_222_disjoint"),
+        ("brute", "exists_strongly_stable"),
     ],
 )
 def test_explicit_algorithms_are_certified(capsys, tmp_path, monkeypatch, algorithm, solver):
-    import hrrc.poly_solvers as poly_solvers
+    import hrrc.stability as stability
     from hrrc.model import make_instance
 
     single = make_instance(residents=[("r", ["h"])], hospitals=[("h", 1, ["r"])])
@@ -375,7 +377,7 @@ def test_explicit_algorithms_are_certified(capsys, tmp_path, monkeypatch, algori
     code, out, _ = run(capsys, "solve", str(path), "--algorithm", algorithm)
     assert (code, out) == (0, "found\n" + save_matching(Assignment.of([("r", "h")])))
 
-    monkeypatch.setattr(poly_solvers, "is_strongly_stable", lambda *a, **k: False)
+    monkeypatch.setattr(stability, "is_strongly_stable", lambda *a, **k: False)
     code, out, err = run(capsys, "solve", str(path), "--algorithm", algorithm)
     assert code == 2
     assert f"{solver} produced a matching that is not strongly stable" in err

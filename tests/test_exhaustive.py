@@ -220,13 +220,13 @@ def test_strongly_stable_set_on_a_deep_instance():
 
 
 def test_final_certificate_failure_raises(monkeypatch):
-    import hrrc.exhaustive as exhaustive
+    import hrrc.stability as stability
     from dataclasses import replace
 
     from hrrc.model import Region
 
     cap2 = replace(example_g2(), regions=(Region(frozenset({"h1", "h2"}), 2),))
-    monkeypatch.setattr(exhaustive, "is_strongly_stable", lambda *a, **k: False)
+    monkeypatch.setattr(stability, "is_strongly_stable", lambda *a, **k: False)
     with pytest.raises(RuntimeError, match="not strongly stable"):
         exists_strongly_stable(cap2)
     with pytest.raises(RuntimeError, match="not strongly stable"):

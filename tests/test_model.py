@@ -533,6 +533,20 @@ def test_save_load_identity(instance):
     assert load_instance(save_instance(instance)) == instance
 
 
+@pytest.mark.parametrize(
+    ("instance", "message"),
+    [
+        (make_instance([(1, ["h"])], [("h", 1, [1])]), "non-string resident ids in declaration"),
+        (make_instance([("r", [2])], [(2, 1, ["r"])]), "non-string hospital ids in declaration"),
+    ],
+)
+def test_validation_refuses_ids_a_document_cannot_hold(instance, message):
+    # The writer still writes such an instance; its document does not load back.
+    assert validate(instance) == [message]
+    with pytest.raises(InstanceError, match="must be (a string|an array of strings)"):
+        load_instance(save_instance(instance))
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(), st.integers(min_value=0, max_value=2**31))
 def test_classify_invariant_under_renaming(instance, seed):

@@ -106,6 +106,29 @@ def test_validate_matches_reference_on_mutated_instances():
     assert broken > 2500
 
 
+def test_validate_matches_reference_on_non_string_ids():
+    rng = random.Random(44)
+    for _ in range(300):
+        inst = random_instance(rng, max_residents=4, max_hospitals=4)
+        agent = rng.choice(inst.residents + inst.hospitals)
+        sub = {agent: rng.choice([0, None, (agent,)])}.get
+        renamed = Instance(
+            residents=tuple(sub(r, r) for r in inst.residents),
+            hospitals=tuple(sub(h, h) for h in inst.hospitals),
+            capacities={sub(h, h): q for h, q in inst.capacities.items()},
+            resident_prefs={sub(r, r): tuple(sub(h, h) for h in p)
+                            for r, p in inst.resident_prefs.items()},
+            hospital_prefs={sub(h, h): tuple(sub(r, r) for r in p)
+                            for h, p in inst.hospital_prefs.items()},
+            regions=tuple(Region(frozenset(sub(h, h) for h in reg.hospitals), reg.cap)
+                          for reg in inst.regions),
+        )
+        side = "resident" if agent in inst.resident_prefs else "hospital"
+        expected = ref.validate(renamed)
+        assert expected == [f"non-string {side} ids in declaration"]
+        assert model.validate(renamed) == expected
+
+
 def test_validate_returns_a_fresh_list():
     inst = mutate(random.Random(3), random_instance(random.Random(3)))
     first = model.validate(inst)
