@@ -3,8 +3,10 @@
 
 For the three always-solvable classes the experiment verifies every returned
 matching with the stability checker; for the disjoint (2,2,2) class it also
-compares the solver's verdict against exhaustive search, and fails unless the
-sweep reaches both verdicts.
+compares the solver's verdict against exhaustive search.  A third of those
+draws hold example_g2-shaped blocks, so that the solver's negative verdict
+is exercised too: the sweep fails unless it reaches `found` and reaches
+`none-exists` on at least 5% of its draws.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NoReturn
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from gen import TIGHT_2X2, random_instance  # noqa: E402
+from gen import TIGHT_2X2, random_g2_blocks, random_instance  # noqa: E402
 from hrrc import (  # noqa: E402
     exists_strongly_stable,
     is_strongly_stable,
@@ -29,6 +31,10 @@ from hrrc import (  # noqa: E402
     solve_regions_size1,
     solve_res_len1,
 )
+
+
+# The least share of disjoint (2,2,2) draws that must come out none-exists.
+MIN_NONE_SHARE = 0.05
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,8 @@ def main() -> None:
         # As in acceptance criterion 3, every third draw is a tight 2x2 one.
         if k % 3 == 2:
             inst = random_instance(rng, **TIGHT_2X2)
+        elif k % 3 == 1:
+            inst = random_g2_blocks(rng)
         else:
             inst = random_instance(rng, side, side, alpha=2, beta=2, gamma=2, disjoint=True)
         out = solve_222_disjoint(inst)
@@ -89,8 +97,11 @@ def main() -> None:
         f"disjoint (2,2,2)       {cfg.samples} instances match the oracle: "
         f"{verdicts['found']} found, {verdicts['none-exists']} none-exists  ({dt:.2f}s)"
     )
-    if 0 in verdicts.values():
-        raise SystemExit("the disjoint (2,2,2) sweep reached only one verdict; draw more samples")
+    if verdicts["found"] == 0 or verdicts["none-exists"] < MIN_NONE_SHARE * cfg.samples:
+        raise SystemExit(
+            f"the disjoint (2,2,2) sweep needs found and at least {MIN_NONE_SHARE:.0%} "
+            "none-exists draws; draw more samples"
+        )
 
 
 if __name__ == "__main__":

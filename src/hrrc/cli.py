@@ -114,18 +114,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     feasible, stable = checked.feasible, checked.strongly_stable
     bps, sbps = checked.blocking_pairs, checked.strong_blocking_pairs
     if args.json:
+        conditions = stability.witness_conditions
         _emit_json(
             {
                 "feasible": feasible,
                 "strongly_stable": stable,
                 "blocking_pairs": [[r, h] for r, h in bps],
                 "strong_blocking_pairs": [
-                    {
-                        "resident": w.resident,
-                        "hospital": w.hospital,
-                        "conditions": w.conditions(),
-                    }
-                    for w in sbps
+                    {"resident": r, "hospital": h, "conditions": conditions(moves, displaced)}
+                    for r, h, moves, displaced in sbps
                 ],
             }
         )
@@ -135,9 +132,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lines += [f"  ({r}, {h})" for r, h in bps]
         if feasible:
             lines.append(f"strong blocking pairs: {len(sbps)}")
-            lines += [
-                f"  ({w.resident}, {w.hospital}) via {', '.join(w.conditions())}" for w in sbps
-            ]
+            # witness_conditions joined by ", ", one shape per branch: this
+            # loop runs once per strong blocking pair.
+            for r, h, moves, displaced in sbps:
+                if displaced is None:
+                    lines.append(f"  ({r}, {h}) via move-feasible")
+                elif moves:
+                    lines.append(
+                        f"  ({r}, {h}) via preferred-over-assignee({displaced}), move-feasible"
+                    )
+                else:
+                    lines.append(f"  ({r}, {h}) via preferred-over-assignee({displaced})")
         lines.append(f"strongly stable: {'yes' if stable else 'no'}")
         print("\n".join(lines))
     return EXIT_OK if stable else EXIT_NEGATIVE

@@ -54,7 +54,7 @@ class InstanceIndex:
             out.append("non-string hospital ids in declaration")
         shared = rpos.keys() & hpos.keys()
         if shared:
-            out.append(f"ids used on both sides: {sorted(shared)}")
+            out.append(f"ids used on both sides: {sorted(shared, key=str)}")
 
         resident_prefs, hospital_prefs = instance.resident_prefs, instance.hospital_prefs
         capacities = instance.capacities
@@ -115,14 +115,17 @@ class InstanceIndex:
                 for h in members:
                     regions_of[h] += (k,)
             else:
-                unknown = sorted(h for h in members if h not in hpos)
-                out.append(f"region {sorted(members)} contains unknown hospitals {unknown}")
+                unknown = sorted((h for h in members if h not in hpos), key=str)
+                out.append(
+                    f"region {sorted(members, key=str)} contains unknown hospitals {unknown}"
+                )
             cap = reg.cap
             if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-                out.append(f"region {sorted(members)} has invalid cap {cap!r}")
+                out.append(f"region {sorted(members, key=str)} has invalid cap {cap!r}")
             if members in seen_sets:
                 out.append(
-                    f"duplicate region {sorted(members)} (caps {seen_sets[members]} and {cap})"
+                    f"duplicate region {sorted(members, key=str)} "
+                    f"(caps {seen_sets[members]} and {cap})"
                 )
             else:
                 seen_sets[members] = cap

@@ -16,12 +16,19 @@ pairs come from each resident's better prefix alone, a witness's displaced
 resident is its hospital's worst assignee, and a move's feasibility looks
 only at the regions it adds load to.  An invalid instance raises
 :class:`~hrrc.model.InstanceError` when its index is compiled.
+
+One generator, ``_blocking``, lists the blocking pairs and decides which of
+them block strongly; :func:`report`, :func:`is_strongly_stable` (and so
+:func:`certified`), :func:`blocking_pairs` and :func:`strong_blocking_pairs`
+all read it.  Witnesses travel as plain tuples ``(resident, hospital,
+move_feasible, displaced)``: ``hrrc check`` renders them as they are, and
+only :func:`strong_blocking_pairs` builds :class:`BlockingWitness` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import Assignment, Instance
 
@@ -49,26 +56,39 @@ class BlockingWitness:
         return (self.resident, self.hospital)
 
     def conditions(self) -> list[str]:
-        out = []
-        if self.displaced is not None:
-            out.append(f"preferred-over-assignee({self.displaced})")
-        if self.move_feasible:
-            out.append("move-feasible")
-        return out
+        return witness_conditions(self.move_feasible, self.displaced)
+
+
+# A strong blocking pair as it travels inside the package, with
+# BlockingWitness's fields in BlockingWitness's order.
+Witness = tuple[str, str, bool, str | None]
+
+
+def witness_conditions(move_feasible: bool, displaced: str | None) -> list[str]:
+    """The conditions a strong blocking pair meets, as ``hrrc check`` names them."""
+    out = []
+    if displaced is not None:
+        out.append(f"preferred-over-assignee({displaced})")
+    if move_feasible:
+        out.append("move-feasible")
+    return out
 
 
 class StabilityReport(NamedTuple):
     """Everything ``hrrc check`` prints about one assignment, computed once.
 
     ``violations`` is empty exactly when the assignment is a matching; the
-    other fields are meaningful only then.  ``strong_blocking_pairs`` is
-    empty unless the matching is feasible.
+    other fields are meaningful only then.  ``blocking_pairs`` holds
+    ``(resident, hospital)`` tuples.  ``strong_blocking_pairs`` holds plain
+    tuples ``(resident, hospital, move_feasible, displaced)``, the fields of
+    :class:`BlockingWitness` in its order, and is empty unless the matching
+    is feasible.
     """
 
     violations: list[str]
     feasible: bool
     blocking_pairs: list[tuple[str, str]]
-    strong_blocking_pairs: list[BlockingWitness]
+    strong_blocking_pairs: list[Witness]
 
     @property
     def strongly_stable(self) -> bool:
@@ -162,11 +182,21 @@ def _state(instance: Instance, matching: Assignment) -> _MatchingState:
     return state
 
 
-def _blocking(state: _MatchingState) -> Iterator[tuple[str, str]]:
-    """Blocking pairs in (resident-declaration, hospital-declaration) order."""
+def _blocking(state: _MatchingState) -> Iterator[tuple[str, str, Witness | None]]:
+    """Each blocking pair with its witness, in (resident-declaration,
+    hospital-declaration) order.
+
+    This is the package's one statement of the strong-blocking rule.  The
+    witness is ``(resident, hospital, move_feasible, displaced)`` when the pair
+    blocks strongly and None when it does not.  It is always None on an
+    infeasible matching, where strong blocking pairs are not defined.
+    """
     index, instance = state.index, state.instance
     hospital_pos, hrank, capacities = index.hospital_pos, index.hrank, instance.capacities
-    hospital_of, assignees, worst_rank = state.hospital_of, state.assignees, state.worst_rank
+    regions_of, caps = index.regions_of, index.region_caps
+    hospital_of, assignees = state.hospital_of, state.assignees
+    worst, worst_rank, load = state.worst, state.worst_rank, state.region_load
+    strong = state.feasible
     for r in instance.residents:
         prefs = instance.resident_prefs[r]
         current = hospital_of.get(r)
@@ -175,31 +205,25 @@ def _blocking(state: _MatchingState) -> Iterator[tuple[str, str]]:
         better = prefs if current is None else prefs[: index.rrank[r][current]]
         if len(better) > 1:
             better = sorted(better, key=hospital_pos.__getitem__)
-        for h in better:
-            if len(assignees[h]) < capacities[h] or hrank[h][r] < worst_rank[h]:
-                yield (r, h)
-
-
-def _witnesses(
-    state: _MatchingState, pairs: Iterable[tuple[str, str]]
-) -> Iterator[BlockingWitness]:
-    index = state.index
-    hrank, regions_of, caps = index.hrank, index.regions_of, index.region_caps
-    worst, worst_rank, load = state.worst, state.worst_rank, state.region_load
-    hospital_of = state.hospital_of
-    for r, h in pairs:
-        displaced = worst[h] if hrank[h][r] < worst_rank[h] else None
         # Moving r to h breaks only the caps of full regions that contain h
         # and not r's current hospital: only those gain a resident, and every
         # other region's load stays or falls.  An unassigned resident's
         # hospital is None, which is in no region.
-        move_ok = True
-        for k in regions_of[h]:
-            if load[k] >= caps[k] and k not in regions_of.get(hospital_of.get(r), ()):
-                move_ok = False
-                break
-        if displaced is not None or move_ok:
-            yield BlockingWitness(r, h, move_ok, displaced)
+        kept = regions_of.get(current, ())
+        for h in better:
+            preferred = hrank[h][r] < worst_rank[h]
+            if not (preferred or len(assignees[h]) < capacities[h]):
+                continue
+            witness = None
+            if strong:
+                move_ok = True
+                for k in regions_of[h]:
+                    if load[k] >= caps[k] and k not in kept:
+                        move_ok = False
+                        break
+                if preferred or move_ok:
+                    witness = (r, h, move_ok, worst[h] if preferred else None)
+            yield r, h, witness
 
 
 def matching_violations(instance: Instance, assignment: Assignment) -> list[str]:
@@ -218,15 +242,19 @@ def is_feasible(instance: Instance, matching: Assignment) -> bool:
 
 def blocking_pairs(instance: Instance, matching: Assignment) -> list[tuple[str, str]]:
     """All blocking pairs, in (resident-declaration, hospital-declaration) order."""
-    return list(_blocking(_state(instance, matching)))
+    return [(r, h) for r, h, _ in _blocking(_state(instance, matching))]
 
 
 def strong_blocking_pairs(instance: Instance, matching: Assignment) -> list[BlockingWitness]:
-    """Witnesses for every strong blocking pair of a feasible matching."""
+    """Witnesses for every strong blocking pair of a feasible matching.
+
+    This is the only function that builds :class:`BlockingWitness` objects;
+    :func:`report` carries the same witnesses as plain tuples.
+    """
     state = _state(instance, matching)
     if not state.feasible:
         raise ValueError("strong blocking pairs are defined only for feasible matchings")
-    return list(_witnesses(state, _blocking(state)))
+    return [BlockingWitness(*witness) for _, _, witness in _blocking(state) if witness is not None]
 
 
 def is_strongly_stable(instance: Instance, matching: Assignment) -> bool:
@@ -234,7 +262,10 @@ def is_strongly_stable(instance: Instance, matching: Assignment) -> bool:
     state = _state(instance, matching)
     if not state.feasible:
         return False
-    return next(_witnesses(state, _blocking(state)), None) is None
+    for _, _, witness in _blocking(state):
+        if witness is not None:
+            return False
+    return True
 
 
 def certified(instance: Instance, matching: Assignment, solver: str) -> Assignment:
@@ -253,6 +284,10 @@ def report(instance: Instance, assignment: Assignment) -> StabilityReport:
     state, violations = _read(instance, assignment)
     if state is None:
         return StabilityReport(violations, False, [], [])
-    bps = list(_blocking(state))
-    sbps = list(_witnesses(state, bps)) if state.feasible else []
+    bps: list[tuple[str, str]] = []
+    sbps: list[Witness] = []
+    for r, h, witness in _blocking(state):
+        bps.append((r, h))
+        if witness is not None:
+            sbps.append(witness)
     return StabilityReport([], state.feasible, bps, sbps)

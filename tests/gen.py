@@ -96,6 +96,35 @@ TIGHT_2X2 = dict(
 )
 
 
+def random_g2_blocks(rng: random.Random) -> Instance:
+    """Disjoint (2,2,2) draws built around ``example_g2``'s shape.
+
+    Each of 1 to 32 blocks has two residents and two hospitals that list each
+    other in random orders, with capacities and the cap of the region around
+    both hospitals drawn from 0-2.  Up to 3 unrelated pairs, each a resident
+    and a hospital that list only each other, in a one-hospital region with a
+    cap from 0-2, sit among them in the declaration order.  Only 8 of the 432
+    block shapes have no strongly stable matching, and an instance has one
+    only when each of its blocks has, so it takes many blocks for about a
+    quarter of the draws to have none.
+    """
+    residents: list[tuple] = []
+    hospitals: list[tuple] = []
+    regions: list[tuple[frozenset[str], int]] = []
+    for b in range(rng.randint(1, 32)):
+        rs, hs = [f"r{b}a", f"r{b}b"], [f"h{b}a", f"h{b}b"]
+        residents += [(r, rng.sample(hs, 2)) for r in rs]
+        hospitals += [(h, rng.randint(0, 2), rng.sample(rs, 2)) for h in hs]
+        regions.append((frozenset(hs), rng.randint(0, 2)))
+    for p in range(rng.randint(0, 3)):
+        residents.append((f"s{p}", [f"k{p}"]))
+        hospitals.append((f"k{p}", 1, [f"s{p}"]))
+        regions.append((frozenset([f"k{p}"]), rng.randint(0, 2)))
+    rng.shuffle(residents)
+    rng.shuffle(hospitals)
+    return make_instance(residents, hospitals, regions)
+
+
 def random_matching_pairs(rng: random.Random, instance: Instance) -> list[tuple[str, str]]:
     """A random (not necessarily feasible) matching of ``instance``."""
     load = {h: 0 for h in instance.hospitals}

@@ -26,7 +26,7 @@ def validate(instance: Instance) -> list[str]:
         out.append("non-string hospital ids in declaration")
     shared = rset & hset
     if shared:
-        out.append(f"ids used on both sides: {sorted(shared)}")
+        out.append(f"ids used on both sides: {sorted(shared, key=str)}")
 
     if set(instance.resident_prefs) != rset:
         out.append("resident_prefs keys do not match declared residents")
@@ -77,12 +77,15 @@ def validate(instance: Instance) -> list[str]:
             continue
         unknown = reg.hospitals - hset
         if unknown:
-            out.append(f"region {sorted(reg.hospitals)} contains unknown hospitals {sorted(unknown)}")
+            out.append(
+                f"region {sorted(reg.hospitals, key=str)} "
+                f"contains unknown hospitals {sorted(unknown, key=str)}"
+            )
         if not isinstance(reg.cap, int) or isinstance(reg.cap, bool) or reg.cap < 0:
-            out.append(f"region {sorted(reg.hospitals)} has invalid cap {reg.cap!r}")
+            out.append(f"region {sorted(reg.hospitals, key=str)} has invalid cap {reg.cap!r}")
         if reg.hospitals in seen_sets:
             out.append(
-                f"duplicate region {sorted(reg.hospitals)} "
+                f"duplicate region {sorted(reg.hospitals, key=str)} "
                 f"(caps {seen_sets[reg.hospitals]} and {reg.cap})"
             )
         else:

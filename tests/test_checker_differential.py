@@ -9,6 +9,7 @@ same answers, the same witness lists in the same order, and the same errors.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -50,7 +51,9 @@ def assert_agree(instance, matching):
         feasible = ref.is_feasible(instance, matching)
         assert report.feasible == feasible
         assert report.blocking_pairs == ref.blocking_pairs(instance, matching)
-        assert report.strong_blocking_pairs == (
+        # The report carries witnesses as plain tuples in BlockingWitness's
+        # field order.
+        assert [BlockingWitness(*w) for w in report.strong_blocking_pairs] == (
             ref.strong_blocking_pairs(instance, matching) if feasible else []
         )
         assert report.strongly_stable == ref.is_strongly_stable(instance, matching)
@@ -145,39 +148,67 @@ def test_witness_names_the_worst_assignee():
     assert (witness.pair, witness.displaced, witness.move_feasible) == (("a", "h"), "c", False)
 
 
-# --- hrrc check's text against the reference ----------------------------------
+# --- hrrc check's output against the reference --------------------------------
 
 
-def reference_check_output(instance, matching) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``hrrc check``, rendered from the reference."""
+def reference_conditions(w: BlockingWitness) -> list[str]:
+    conditions = []
+    if w.displaced is not None:
+        conditions.append(f"preferred-over-assignee({w.displaced})")
+    if w.move_feasible:
+        conditions.append("move-feasible")
+    return conditions
+
+
+def shape(w: BlockingWitness) -> str:
+    """Which of ``hrrc check``'s three condition lists ``w`` renders as."""
+    if w.displaced is None:
+        return "move-feasible only"
+    return "both" if w.move_feasible else "displaced only"
+
+
+def reference_check_output(instance, matching, as_json: bool) -> tuple[int, str, str, list]:
+    """Exit code, stdout and stderr of ``hrrc check`` (with ``--json`` when
+    ``as_json``), rendered from the reference, and the reference's witnesses."""
     violations = ref.matching_violations(instance, matching)
     if violations:
-        return 2, "", "error: assignment is not a matching: " + "; ".join(violations) + "\n"
+        err = "error: assignment is not a matching: " + "; ".join(violations) + "\n"
+        return 2, "", err, []
     feasible = ref.is_feasible(instance, matching)
     bps = ref.blocking_pairs(instance, matching)
+    sbps = ref.strong_blocking_pairs(instance, matching) if feasible else []
+    stable = feasible and not sbps
+    code = 0 if stable else 1
+    if as_json:
+        payload = {
+            "feasible": feasible,
+            "strongly_stable": stable,
+            "blocking_pairs": [[r, h] for r, h in bps],
+            "strong_blocking_pairs": [
+                {
+                    "resident": w.resident,
+                    "hospital": w.hospital,
+                    "conditions": reference_conditions(w),
+                }
+                for w in sbps
+            ],
+        }
+        return code, json.dumps(payload, indent=2) + "\n", "", sbps
     lines = [f"feasible: {'yes' if feasible else 'no'}", f"blocking pairs: {len(bps)}"]
     lines += [f"  ({r}, {h})" for r, h in bps]
-    stable = feasible
     if feasible:
-        sbps = ref.strong_blocking_pairs(instance, matching)
-        stable = not sbps
         lines.append(f"strong blocking pairs: {len(sbps)}")
         for w in sbps:
-            conditions = []
-            if w.displaced is not None:
-                conditions.append(f"preferred-over-assignee({w.displaced})")
-            if w.move_feasible:
-                conditions.append("move-feasible")
-            lines.append(f"  ({w.resident}, {w.hospital}) via {', '.join(conditions)}")
+            via = ", ".join(reference_conditions(w))
+            lines.append(f"  ({w.resident}, {w.hospital}) via {via}")
     lines.append(f"strongly stable: {'yes' if stable else 'no'}")
-    return (0 if stable else 1), "\n".join(lines) + "\n", ""
+    return code, "\n".join(lines) + "\n", "", sbps
 
 
-def test_check_text_matches_reference(capsys, tmp_path):
-    """``hrrc check``'s bytes on seeded draws: stable, unstable, infeasible and
-    non-matching assignments, the stable ones from ``dispatch``."""
+def check_cases():
+    """Seeded draws: stable, unstable, infeasible and non-matching
+    assignments, the stable ones from ``dispatch``."""
     rng = random.Random(2024)
-    instance_file, matching_file = tmp_path / "instance.json", tmp_path / "matching.json"
     cases = [(example_g2(), Assignment.of([("r1", "h1")]))]
     for _ in range(120):
         instance = random_instance(rng, max_residents=8, max_hospitals=6, max_region_cap=2)
@@ -186,14 +217,32 @@ def test_check_text_matches_reference(capsys, tmp_path):
         outcome = dispatch(instance)
         if outcome.is_found:
             cases.append((instance, outcome.matching))
-    seen = {0: 0, 1: 0, 2: 0, "infeasible": 0}
-    for instance, matching in cases:
+    return cases
+
+
+def assert_check_matches_reference(capsys, tmp_path, as_json: bool) -> None:
+    """``hrrc check``'s bytes on every case.  Every verdict and every witness
+    shape must come up, so that each rendering branch runs."""
+    instance_file, matching_file = tmp_path / "instance.json", tmp_path / "matching.json"
+    seen = dict.fromkeys([0, 1, 2, "infeasible", "displaced only", "move-feasible only", "both"], 0)
+    for instance, matching in check_cases():
         instance_file.write_text(save_instance(instance))
         matching_file.write_text(save_matching(matching))
-        expected = reference_check_output(instance, matching)
-        code = main(["check", str(instance_file), str(matching_file)])
+        *expected, witnesses = reference_check_output(instance, matching, as_json)
+        argv = ["check", str(instance_file), str(matching_file)] + ["--json"] * as_json
+        code = main(argv)
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == expected
+        assert (code, captured.out, captured.err) == tuple(expected)
         seen[code] += 1
-        seen["infeasible"] += expected[1].startswith("feasible: no")
+        seen["infeasible"] += code != 2 and not ref.is_feasible(instance, matching)
+        for w in witnesses:
+            seen[shape(w)] += 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_check_text_matches_reference(capsys, tmp_path):
+    assert_check_matches_reference(capsys, tmp_path, as_json=False)
+
+
+def test_check_json_matches_reference(capsys, tmp_path):
+    assert_check_matches_reference(capsys, tmp_path, as_json=True)

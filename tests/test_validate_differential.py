@@ -17,7 +17,14 @@ import pytest
 import hrrc.model as model
 import reference_validate as ref
 from gen import random_instance
-from hrrc.model import Instance, InstanceError, Region, instance_to_doc, load_instance
+from hrrc.model import (
+    Instance,
+    InstanceError,
+    Region,
+    instance_to_doc,
+    load_instance,
+    make_instance,
+)
 
 BAD_COUNTS = [-1, -3, True, False, "2", None, 1.5]
 
@@ -127,6 +134,31 @@ def test_validate_matches_reference_on_non_string_ids():
         expected = ref.validate(renamed)
         assert expected == [f"non-string {side} ids in declaration"]
         assert model.validate(renamed) == expected
+
+
+@pytest.mark.parametrize(
+    ("instance", "expected"),
+    [
+        (
+            make_instance([("r", ["h"])], [("h", 1, ["r"])], [(["h", 2], 1)]),
+            ["region [2, 'h'] contains unknown hospitals [2]"],
+        ),
+        (
+            make_instance([(1, ["a"]), ("a", [1])], [(1, 1, ["a"]), ("a", 1, [1])]),
+            [
+                "non-string resident ids in declaration",
+                "non-string hospital ids in declaration",
+                "ids used on both sides: [1, 'a']",
+            ],
+        ),
+    ],
+    ids=["region", "both-sides"],
+)
+def test_validate_reports_mixed_id_types(instance, expected):
+    """An API-built instance may mix id types; the messages list them by
+    their text instead of failing to compare them."""
+    assert ref.validate(instance) == expected
+    assert model.validate(instance) == expected
 
 
 def test_validate_returns_a_fresh_list():
