@@ -22,53 +22,73 @@ backjumping, Prosser 1993); the residents it skips cannot repair the
 conflict, so the subtrees it skips hold no leaf, and the walk yields the same
 leaves in the same order as a chronological one.
 
-The walk can also cover a closed slice of the residents, read on the
-instance's own compiled view (see :func:`first_leaf`).
+Set-up reads the instance's compiled view once into flat tables of integers
+indexed by position, and the walk reads only those: no id is looked up while
+it runs.  The walk can also cover a closed slice of the residents, with
+resident and hospital tables sized to the slice (see :func:`first_leaf`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .model import Assignment, Instance, SolveOutcome
 from .stability import certified
 
 
 class _Search:
-    """Incremental bookkeeping and the one depth-first walk over it.
+    """Flat tables and the one depth-first walk over them.
 
-    ``assignees[h]`` lists the residents placed at ``h``, latest last: the
-    walk is depth-first, so the resident unplaced from ``h`` is always the
-    one placed there last.
+    Residents are numbered by their position in the walk, and hospitals in
+    declaration order: all of them on the whole instance, those the slice
+    lists on a slice.  Regions keep the instance's numbers.  Sets of
+    residents are bit masks over positions.
+
+    * ``options[i]`` lists resident ``i``'s acceptable hospitals in
+      declaration order as (hospital, its rank on the resident's list),
+      then "unassigned" as (-1, a rank worse than every hospital's):
+      hospital -1, the hospital tables' last entry, is never full and lies
+      in no region.
+    * Per hospital: ``capacity``, ``load``, ``assignees`` (the mask of the
+      residents placed there, updated as the walk places and removes them)
+      and ``hospital_regions``.  Per region: ``region_caps``,
+      ``region_load``, ``region_assignees`` and ``region_listers`` (the
+      residents who list one of its hospitals).
+    * Per position: ``assigned``, the hospital, or None while the walk has
+      not placed the resident, and ``assigned_rank``, its rank on the
+      resident's list.  So "r prefers h to its assignment" is one integer
+      comparison.
 
     A pair (r, h) is fully determined once every resident that can still
     change r's assignment, h's assignees, or the load of a region containing
     h has been placed.  From that point its strong-blocking status is final,
-    so a prefix exhibiting such a pair can be abandoned: ``determined_at[i]``
-    lists the hospitals whose pairs become final at resident ``i``.
+    so a prefix exhibiting such a pair can be abandoned.  ``determined_at[i]``
+    lists the hospitals whose pairs become final at resident ``i``, in
+    declaration order, each as (hospital, its listers in its own order as
+    (position, bit, the hospital's rank on the lister's list), the mask of
+    its listers, its regions).  Its listers are the only residents who can
+    change its load.
 
     The walk covers ``residents``: every resident by default, or a closed
     slice, which holds every resident who lists a hospital the slice lists
     or a hospital of a region containing one.  Nothing outside it can change
-    what the walk reads, so the tables cover only the slice's residents, the
-    hospitals they list and the other members of those hospitals' regions.
-    Over independent closed blocks, each in declaration order, the first
-    leaf is the union of each block's first leaf, and a block with no leaf
-    blames only its own residents, so the walk ends when it runs out.
+    what the walk reads, so the tables cover only the slice's residents and
+    the hospitals they list; a hospital of the same region that nobody lists
+    holds no one, so the region tables read it as empty.  Over independent
+    closed blocks, each in declaration order, the first leaf is the union of
+    each block's first leaf, and a block with no leaf blames only its own
+    residents, so the walk ends when it runs out.
 
-    Sets of residents are bit masks over positions in the walk.
-    ``listers[h]`` holds the residents who list ``h`` (the only ones who can
-    change its load), and ``region_listers[k]`` those who list a hospital of
-    region ``k``.  Each depth of the walk keeps a conflict set, the culprits
-    of the options it rejected:
+    Each depth of the walk keeps a conflict set, the culprits of the options
+    it rejected:
 
     * a full hospital: the residents placed there;
     * a region at its cap: the residents inside the region;
-    * a final strong blocking pair (r, h), found by :meth:`doomed`: r and a
-      worse resident at h, when h would displace one; otherwise r, the
-      residents who list h, and those who list a hospital of a region that
-      contains h and not r's hospital (they fix that h has room and that
-      the move fits every cap).
+    * a final strong blocking pair (r, h): r and the earliest placed
+      resident at h whom h ranks below r, when there is one; otherwise r,
+      the residents who list h, and those who list a hospital of a region
+      that contains h and not r's hospital (they fix that h has room and
+      that the move fits every cap).
 
     Whatever the other residents do, the culprits' assignments alone make
     the option infeasible or leave a strong blocking pair.  So when a
@@ -82,125 +102,106 @@ class _Search:
     a prefix that led to a yielded leaf the walk steps back one resident at
     a time, since a yielded option is not a rejected one and has no
     culprits.
+
+    ``checks`` counts the pruned walk's tests for a final strong blocking
+    pair: one after each option, "unassigned" included, that fits every
+    capacity and cap.
     """
 
     def __init__(self, instance: Instance, residents: tuple[str, ...] | None = None):
         index = instance.index
-        self.instance = instance
-        self.capacities = instance.capacities
-        self.rrank = index.rrank
-        self.hrank = index.hrank
-        self.region_caps = index.region_caps
-        self.regions_of = regions_of = index.regions_of
-        hospital_pos = index.hospital_pos
-        regions = instance.regions
+        hrank, hospital_pos, regions_of = index.hrank, index.hospital_pos, index.regions_of
+        resident_prefs, hospital_prefs = instance.resident_prefs, instance.hospital_prefs
         if residents is None:
             residents = instance.residents
-            self.resident_pos = index.resident_pos
             hospitals = instance.hospitals
-            region_ids: Iterable[int] = range(len(regions))
+            local = hospital_pos
         else:
-            self.resident_pos = {r: i for i, r in enumerate(residents)}
-            listed = dict.fromkeys(h for r in residents for h in instance.resident_prefs[r])
-            region_ids = {k for h in listed for k in regions_of[h]}
-            # Members that nobody in the slice lists: a full region reads them.
-            unlisted = {h for k in region_ids for h in regions[k].hospitals}.difference(listed)
-            hospitals = [*listed, *unlisted]
+            listed = {h for r in residents for h in resident_prefs[r]}
+            hospitals = sorted(listed, key=hospital_pos.__getitem__)
+            local = {h: j for j, h in enumerate(hospitals)}
         self.residents = residents
-        # Per resident position: acceptable hospitals in declaration order,
-        # then None for "unassigned".
-        self.options = [
-            (*sorted(instance.resident_prefs[r], key=hospital_pos.__getitem__), None)
-            for r in residents
-        ]
-        self.assignees: dict[str, list[str]] = {h: [] for h in hospitals}
-        self.region_load = [0] * len(regions)
-        self.assigned: list[str | None] = [None] * len(residents)
-        prefs = instance.hospital_prefs
-        self.listers = listers = {h: self._mask(prefs[h]) for h in hospitals}
-        self.region_listers = region_listers = [0] * len(regions)
-        for k in region_ids:
-            for h in regions[k].hospitals:
-                region_listers[k] |= listers[h]
-        self.determined_at: list[list[str]] = [[] for _ in residents]
-        for h in hospitals:
-            watchers = listers[h]
-            if not watchers:
-                continue
-            for k in regions_of[h]:
-                watchers |= region_listers[k]
-            self.determined_at[watchers.bit_length() - 1].append(h)
-
-    def _mask(self, residents: Iterable[str]) -> int:
-        pos = self.resident_pos
-        mask = 0
-        for r in residents:
-            mask |= 1 << pos[r]
-        return mask
+        self.hospitals = hospitals
+        n, m = len(residents), len(hospitals)
+        # One pass over the residents' lists.  listers[j][t] is the resident
+        # that hospital j ranks t-th, as (position, bit, j's rank on its
+        # list), and lister_masks[j] is the mask of them all.
+        listers = [[None] * len(hospital_prefs[h]) for h in hospitals]
+        lister_masks = [0] * m
+        unassigned = (-1, m)
+        self.options = options = []
+        for i, r in enumerate(residents):
+            bit = 1 << i
+            row = []
+            for rank, h in enumerate(resident_prefs[r]):
+                j = local[h]
+                listers[j][hrank[h][r]] = (i, bit, rank)
+                lister_masks[j] |= bit
+                row.append((j, rank))
+            row.sort()
+            row.append(unassigned)
+            options.append(row)
+        capacities = instance.capacities
+        self.capacity = [*map(capacities.__getitem__, hospitals), n]
+        self.load = [0] * (m + 1)
+        self.assignees = [0] * (m + 1)
+        self.hospital_regions = hospital_regions = [*map(regions_of.__getitem__, hospitals), ()]
+        self.region_caps = index.region_caps
+        self.region_load = [0] * len(index.region_caps)
+        self.region_assignees = [0] * len(index.region_caps)
+        self.region_listers = region_listers = [0] * len(index.region_caps)
+        self.assigned: list[int | None] = [None] * n
+        self.assigned_rank = [m] * n
+        for j in range(m):
+            for k in hospital_regions[j]:
+                region_listers[k] |= lister_masks[j]
+        self.determined_at: list[list] = [[] for _ in residents]
+        for j in range(m):
+            watchers = lister_masks[j]
+            if watchers:
+                regions = hospital_regions[j]
+                for k in regions:
+                    watchers |= region_listers[k]
+                self.determined_at[watchers.bit_length() - 1].append(
+                    (j, listers[j], lister_masks[j], regions)
+                )
+        self.checks = 0
 
     def current(self) -> Assignment:
-        return Assignment.of(
-            (r, h) for r, h in zip(self.residents, self.assigned) if h is not None
+        hospitals = self.hospitals
+        return Assignment(
+            frozenset((r, hospitals[h]) for r, h in zip(self.residents, self.assigned) if h >= 0)
         )
 
-    def _settled_sbp_culprits(self, r: str, h: str) -> int:
-        """The culprits of (r, h) if it is a strong blocking pair, else 0."""
-        pos = self.resident_pos[r]
-        current = self.assigned[pos]
-        if current == h:
-            return 0
-        if current is not None and self.rrank[r][current] < self.rrank[r][h]:
-            return 0
-        # r wants h; does h want r back?
-        hrank = self.hrank[h]
-        rank = hrank[r]
-        assigned_here = self.assignees[h]
-        for worse in assigned_here:
-            if rank < hrank[worse]:
-                return 1 << pos | 1 << self.resident_pos[worse]
-        if len(assigned_here) >= self.capacities[h]:
-            return 0
-        # Move feasibility: only regions containing h but not r's hospital gain load.
-        left = self.regions_of[current] if current is not None else ()
-        culprits = 1 << pos | self.listers[h]
-        for k in self.regions_of[h]:
-            if k not in left:
-                if self.region_load[k] >= self.region_caps[k]:
-                    return 0
-                culprits |= self.region_listers[k]
-        return culprits
-
-    def doomed(self, i: int) -> int:
-        """The culprits of a final strong blocking pair in the prefix up to resident ``i``, or 0."""
-        for h in self.determined_at[i]:
-            for r in self.instance.hospital_prefs[h]:
-                culprits = self._settled_sbp_culprits(r, h)
-                if culprits:
-                    return culprits
-        return 0
-
-    def leaves(self, prune: Callable[[int], int] | None = None) -> Iterator[Assignment]:
+    def leaves(self, pruned: bool) -> Iterator[Assignment]:
         """The feasible matchings of the walk, in canonical order.
 
-        A branch is cut right after resident ``i`` is placed, or left
-        unassigned, when ``prune(i)`` returns its culprits: a non-zero mask
-        of positions up to ``i`` whose assignments alone rule out every leaf.
+        When ``pruned``, a branch is cut right after resident ``i`` is
+        placed, or left unassigned, when a pair made final at ``i`` blocks
+        strongly; its culprits are a non-zero mask of positions up to ``i``
+        whose assignments alone rule out every leaf.
         """
-        residents, options, assigned = self.residents, self.options, self.assigned
-        assignees, capacities = self.assignees, self.capacities
-        regions_of, region_load, region_caps = self.regions_of, self.region_load, self.region_caps
-        regions = self.instance.regions
-        n = len(residents)
+        options, assigned, assigned_rank = self.options, self.assigned, self.assigned_rank
+        capacity, load, assignees = self.capacity, self.load, self.assignees
+        hospital_regions = self.hospital_regions
+        region_caps, region_load = self.region_caps, self.region_load
+        region_assignees, region_listers = self.region_assignees, self.region_listers
+        determined_at = self.determined_at
+        n = len(options)
 
         def unplace(j: int) -> None:
             h = assigned[j]
             assigned[j] = None
-            assignees[h].pop()
-            for k in regions_of[h]:
+            bit = 1 << j
+            load[h] -= 1
+            assignees[h] ^= bit
+            for k in hospital_regions[h]:
                 region_load[k] -= 1
+                region_assignees[k] ^= bit
 
         # cursor[i]: the position in options[i] of resident i's next option;
         # conflicts[i]: the culprits of the options resident i has lost.
+        # Every resident before the current one holds an option.
         cursor = [0] * (n + 1)
         conflicts = [0] * (n + 1)
         # Residents before position `pinned` sit as in the last yielded leaf.
@@ -222,30 +223,62 @@ class _Search:
                     back = culprits.bit_length() - 1
                     conflicts[back] |= culprits
                     for j in range(i - 1, back, -1):
-                        if assigned[j] is not None:
-                            unplace(j)
+                        unplace(j)
                 i = back
                 continue
             if i < pinned:
                 pinned = i
             cursor[i] = pos + 1
-            h = options[i][pos]
-            if h is not None:
-                held = assignees[h]
-                if len(held) >= capacities[h]:
-                    conflicts[i] |= self._mask(held)
-                    continue
-                full = next((k for k in regions_of[h] if region_load[k] >= region_caps[k]), None)
-                if full is not None:
-                    for h2 in regions[full].hospitals:
-                        conflicts[i] |= self._mask(assignees[h2])
-                    continue
-                assigned[i] = h
-                held.append(residents[i])
-                for k in regions_of[h]:
-                    region_load[k] += 1
-            if prune is not None:
-                culprits = prune(i)
+            h, rank = options[i][pos]
+            if load[h] >= capacity[h]:
+                conflicts[i] |= assignees[h]
+                continue
+            full = False
+            for k in hospital_regions[h]:
+                if region_load[k] >= region_caps[k]:
+                    conflicts[i] |= region_assignees[k]
+                    full = True
+                    break
+            if full:
+                continue
+            bit = 1 << i
+            assigned[i] = h
+            assigned_rank[i] = rank
+            load[h] += 1
+            assignees[h] |= bit
+            for k in hospital_regions[h]:
+                region_load[k] += 1
+                region_assignees[k] |= bit
+            if pruned:
+                # Is a pair made final at i a strong blocking pair?
+                self.checks += 1
+                culprits = 0
+                for j, entries, listers, regions in determined_at[i]:
+                    held = assignees[j]
+                    seen = 0  # j's listers up to r in j's order
+                    for r, r_bit, r_rank in entries:
+                        seen |= r_bit
+                        if r_rank >= assigned_rank[r]:
+                            continue  # r holds j or a hospital it prefers
+                        displaced = held & ~seen  # the residents at j it ranks below r
+                        if displaced:
+                            culprits = r_bit | displaced & -displaced  # and the earliest
+                            break
+                        if load[j] >= capacity[j]:
+                            continue
+                        # j has room: the move must fit every region it enters.
+                        left = hospital_regions[assigned[r]]
+                        culprits = r_bit | listers
+                        for k in regions:
+                            if k not in left:
+                                if region_load[k] >= region_caps[k]:
+                                    culprits = 0
+                                    break
+                                culprits |= region_listers[k]
+                        if culprits:
+                            break
+                    if culprits:
+                        break
                 if culprits:
                     conflicts[i] |= culprits
                     continue
@@ -255,13 +288,13 @@ class _Search:
 
 def enumerate_feasible(instance: Instance) -> Iterator[Assignment]:
     """Yield every feasible matching exactly once, in canonical order."""
-    yield from _Search(instance).leaves()
+    yield from _Search(instance).leaves(False)
 
 
 def strongly_stable_set(instance: Instance) -> set[Assignment]:
     """All strongly stable matchings: the leaves of the pruned walk, each certified."""
-    search = _Search(instance)
-    return {certified(instance, m, "strongly_stable_set") for m in search.leaves(search.doomed)}
+    leaves = _Search(instance).leaves(True)
+    return {certified(instance, m, "strongly_stable_set") for m in leaves}
 
 
 def first_leaf(instance: Instance, residents: tuple[str, ...] | None = None) -> Assignment | None:
@@ -271,8 +304,7 @@ def first_leaf(instance: Instance, residents: tuple[str, ...] | None = None) -> 
     :class:`_Search`).  The leaf is not certified: a slice's pairs alone
     need not be strongly stable on the whole instance.
     """
-    search = _Search(instance, residents)
-    return next(search.leaves(search.doomed), None)
+    return next(_Search(instance, residents).leaves(True), None)
 
 
 def exists_strongly_stable(instance: Instance) -> SolveOutcome:

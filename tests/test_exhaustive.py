@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import product
 
@@ -13,12 +14,13 @@ from reference_walk import (
     strongly_stable_set_chronologically,
 )
 from hrrc.exhaustive import (
+    _Search,
     enumerate_feasible,
     exists_strongly_stable,
     first_leaf,
     strongly_stable_set,
 )
-from hrrc.model import Assignment, example_g2, make_instance
+from hrrc.model import Assignment, example_g2, make_instance, save_matching
 from hrrc.reductions import ReductionVariant, reduce_ppn
 from hrrc.stability import is_feasible, is_matching, is_strongly_stable
 
@@ -143,12 +145,71 @@ def test_backjumping_walk_equals_the_chronological_walk():
         if variant is not ReductionVariant.ONE_IN_THREE_222
     ]
     verdicts = {"found": 0, "none-exists": 0}
+    checks = 0
     for inst in draws + reductions:
         out = exists_strongly_stable(inst)
         assert out == exists_strongly_stable_chronologically(inst)
         assert strongly_stable_set(inst) == strongly_stable_set_chronologically(inst)
         verdicts[out.status] += 1
+        search = _Search(inst)
+        next(search.leaves(True), None)
+        checks += search.checks
     assert verdicts["none-exists"] >= 30, verdicts
+    # Recorded like PINNED_SEARCH below.  Culprits that are sound but not the
+    # ones the rules name (say, every worse resident at h, not the earliest)
+    # keep the leaves and move this count.
+    assert checks == 34_126
+
+
+# Recorded from the walk that looked every id up in dicts, with its strong
+# blocking pair test wrapped and counted: the pruned walk's tests on the way
+# to the first leaf of every PPN reduction, and the bytes of each first leaf.
+# A culprit rule that changes, or a change to the order in which the walk
+# tests pairs, moves a count even where the leaves stay the same.
+PINNED_SEARCH = {
+    ReductionVariant.PPN_223: (
+        11_576, "9cbd60e4a4a1be52992680ea66caf5be94100a9379590402200a63c62ffdec44"
+    ),
+    ReductionVariant.PPN_232: (
+        11_396, "fdc6d485492c17d63b91d4ff2369862711667fed65942da1b2851410875915b5"
+    ),
+    ReductionVariant.PPN_322: (
+        31_241, "b40194c8a89e3774d067458e1b7c3c21ed044cb4d842abfce696c4b86054056d"
+    ),
+}
+# The same count over the 15 unsatisfiable formulas on four variables.
+PINNED_UNSATISFIABLE_CHECKS = {
+    ReductionVariant.PPN_223: 245_776,
+    ReductionVariant.PPN_232: 92_014,
+    ReductionVariant.PPN_322: 24_793,
+}
+
+
+@pytest.mark.parametrize("variant", list(PINNED_SEARCH), ids=lambda v: v.value)
+def test_pruned_walk_search_is_pinned(variant):
+    checks = 0
+    digest = hashlib.sha256()
+    for formula in all_ppn_formulas(2) + all_ppn_formulas(3):
+        instance = reduce_ppn(formula, variant)[0]
+        search = _Search(instance)
+        leaf = next(search.leaves(True))
+        checks += search.checks
+        digest.update(save_matching(leaf).encode())
+        # A slice of every resident is walked exactly as the whole instance.
+        everyone = _Search(instance, instance.residents)
+        assert next(everyone.leaves(True)) == leaf
+        assert everyone.checks == search.checks
+    assert (checks, digest.hexdigest()) == PINNED_SEARCH[variant]
+
+
+def test_pruned_walk_search_on_unsatisfiable_formulas_is_pinned(unsatisfiable_ppn4):
+    for variant, pinned in PINNED_UNSATISFIABLE_CHECKS.items():
+        checks = 0
+        for formula in unsatisfiable_ppn4:
+            search = _Search(reduce_ppn(formula, variant)[0])
+            assert next(search.leaves(True), None) is None
+            checks += search.checks
+        assert checks == pinned, variant
 
 
 def renamed_rows(instance, tag):

@@ -513,13 +513,6 @@ def test_oneinthree_instance_and_encoding_bytes_are_pinned():
     assert digest.hexdigest() == "24ae5abfd14d18666246ed6fae1046c90367d7d827c030a119c7f7b34fe6288c"
 
 
-@pytest.fixture(scope="module")
-def unsatisfiable_ppn4():
-    unsatisfiable = [f for f in all_ppn_formulas(4) if sat_brute(f) is None]
-    assert len(unsatisfiable) == 15
-    return unsatisfiable
-
-
 @pytest.mark.parametrize("variant", PPN_VARIANTS)
 def test_unsatisfiable_ppn_formula_reduces_to_none_exists(variant, unsatisfiable_ppn4):
     for formula in unsatisfiable_ppn4:
