@@ -16,6 +16,11 @@ if TYPE_CHECKING:
     from .model import Instance
 
 
+def is_int(value: object) -> bool:
+    """Whether ``value`` may stand as a capacity or cap: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class InstanceIndex:
     """Declaration positions, rank tables, and region membership.
 
@@ -66,7 +71,7 @@ class InstanceIndex:
             out.append("capacities keys do not match declared hospitals")
         for h in hospitals:
             q = capacities.get(h)
-            if not isinstance(q, int) or isinstance(q, bool) or q < 0:
+            if not is_int(q) or q < 0:
                 out.append(f"hospital {h!r} has invalid capacity {q!r}")
 
         # Each side checks its entries against the other side's tables.
@@ -120,7 +125,7 @@ class InstanceIndex:
                     f"region {sorted(members, key=str)} contains unknown hospitals {unknown}"
                 )
             cap = reg.cap
-            if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            if not is_int(cap) or cap < 0:
                 out.append(f"region {sorted(members, key=str)} has invalid cap {cap!r}")
             if members in seen_sets:
                 out.append(

@@ -19,15 +19,18 @@ Document formats (UTF-8 JSON):
        "regions":   [{"hospitals": ["h1", "h2"], "cap": 1}, ...]}
 
   Array order is semantic for ``prefs`` (most preferred first) and fixes the
-  declaration order of agents and regions; ``regions`` may be omitted.
+  declaration order of agents and regions; ``regions`` may be omitted.  Ids
+  are strings; capacities and caps are non-negative integers.
 
 * matching::
 
       {"pairs": [["r1", "h1"], ...]}
 
-The writers build document text directly, line by line; it is byte-identical
-to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers build an
-instance or matching in one pass over the document and raise
+The instance writers take valid instances only: they validate first and raise
+:class:`InstanceError` otherwise, so every document they write loads back
+equal.  The writers build document text directly, line by line; it is
+byte-identical to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers
+build an instance or matching in one pass over the document and raise
 :class:`InstanceError` naming the first fault they find.
 """
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .index import InstanceIndex
+from .index import InstanceIndex, is_int
 
 
 class InstanceError(ValueError):
@@ -241,25 +244,16 @@ def example_g2() -> Instance:
 #
 # The writers lay a document out exactly as ``json.dumps(doc, indent=2)``
 # does, but build its lines directly: with ``indent`` set, ``json`` runs its
-# pure-Python encoder, which cost most of a writer's time.  Strings are escaped
-# by the C function that encoder calls itself.
+# pure-Python encoder, which cost most of a writer's time.  The instance
+# writers validate first, so every id they meet is a string, escaped by the C
+# function that encoder calls itself, and every count an int, which ``json``
+# renders as ``int.__repr__`` does.
 
 _escape = json.encoder.encode_basestring_ascii
 # Line breaks with the indentation of each depth a writer's arrays reach, and
 # the item separators built from them.
 _BREAK = tuple("\n" + "  " * depth for depth in range(5))
 _SEPARATOR = tuple("," + line for line in _BREAK)
-
-
-def _value(value: object, depth: int) -> str:
-    """``value`` as ``json.dumps(indent=2)`` renders it ``depth`` levels deep."""
-    if isinstance(value, str):
-        return _escape(value)
-    if type(value) is int:
-        return repr(value)
-    # A bool, float, None or container, which only an instance built through
-    # the API can hold; a container spans lines, each indented to ``depth``.
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _array(items: list[str], depth: int) -> str:
@@ -269,16 +263,14 @@ def _array(items: list[str], depth: int) -> str:
     return "[" + _BREAK[depth + 1] + _SEPARATOR[depth + 1].join(items) + _BREAK[depth] + "]"
 
 
-def _ids(ids: Sequence[object], depth: int) -> str:
-    """An array of agent ids ``depth`` levels deep."""
-    try:
-        items = list(map(_escape, ids))
-    except TypeError:  # a non-str id: possible only in an instance built through the API
-        items = [_value(x, depth + 1) for x in ids]
-    return _array(items, depth)
+def _ids(ids: Sequence[str], depth: int) -> str:
+    """An array of agent ids ``depth`` levels deep; a non-str id raises TypeError."""
+    return _array(list(map(_escape, ids)), depth)
 
 
 def instance_to_doc(instance: Instance) -> dict:
+    """The document of a valid instance; raises :class:`InstanceError` otherwise."""
+    require_valid(instance)
     return {
         "residents": [
             {"id": r, "prefs": list(instance.resident_prefs[r])} for r in instance.residents
@@ -298,30 +290,32 @@ def instance_to_doc(instance: Instance) -> dict:
 
 
 def save_instance(instance: Instance) -> str:
-    """Render an instance document; inverse of :func:`load_instance`.
+    """Render a valid instance's document; inverse of :func:`load_instance`.
 
-    The text is ``json.dumps(instance_to_doc(instance), indent=2)`` plus a
-    newline, byte for byte.
+    Raises :class:`InstanceError` if the instance is invalid, so the text
+    always loads back equal.  It is ``json.dumps(instance_to_doc(instance),
+    indent=2)`` plus a newline, byte for byte.
     """
+    require_valid(instance)
     resident_prefs = instance.resident_prefs
     hospital_prefs = instance.hospital_prefs
     capacities = instance.capacities
     residents = [
-        '{\n      "id": ' + _value(r, 3)
+        '{\n      "id": ' + _escape(r)
         + ',\n      "prefs": ' + _ids(resident_prefs[r], 3)
         + "\n    }"
         for r in instance.residents
     ]
     hospitals = [
-        '{\n      "id": ' + _value(h, 3)
-        + ',\n      "capacity": ' + _value(capacities[h], 3)
+        '{\n      "id": ' + _escape(h)
+        + ',\n      "capacity": ' + int.__repr__(capacities[h])
         + ',\n      "prefs": ' + _ids(hospital_prefs[h], 3)
         + "\n    }"
         for h in instance.hospitals
     ]
     regions = [
         '{\n      "hospitals": ' + _ids(sorted(reg.hospitals), 3)
-        + ',\n      "cap": ' + _value(reg.cap, 3)
+        + ',\n      "cap": ' + int.__repr__(reg.cap)
         + "\n    }"
         for reg in instance.regions
     ]
@@ -335,10 +329,6 @@ def save_instance(instance: Instance) -> str:
 
 def _is_strings(value: object) -> bool:
     return isinstance(value, list) and all(map(str.__instancecheck__, value))
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def instance_from_doc(doc: object) -> Instance:
@@ -382,7 +372,7 @@ def instance_from_doc(doc: object) -> Instance:
         if not isinstance(hid, str):
             raise InstanceError(f"hospitals[{k}].id must be a string")
         cap = entry.get("capacity")
-        if not _is_int(cap):
+        if not is_int(cap):
             raise InstanceError(f"hospitals[{k}].capacity must be an integer")
         prefs = entry.get("prefs", [])
         if not _is_strings(prefs):
@@ -409,7 +399,7 @@ def instance_from_doc(doc: object) -> Instance:
         if not _is_strings(members):
             raise InstanceError(f"regions[{k}].hospitals must be an array of strings")
         cap = entry.get("cap")
-        if not _is_int(cap):
+        if not is_int(cap):
             raise InstanceError(f"regions[{k}].cap must be an integer")
         key = (frozenset(members), cap)
         if key not in regions:
@@ -441,7 +431,10 @@ def matching_to_doc(assignment: Assignment) -> dict:
 
 
 def save_matching(assignment: Assignment) -> str:
-    """Render a matching document: ``json.dumps(matching_to_doc(...), indent=2)`` and a newline."""
+    """Render a matching document: ``json.dumps(matching_to_doc(...), indent=2)`` and a newline.
+
+    Ids must be strings, as a document holds them; any other id raises TypeError.
+    """
     pairs = [_ids((r, h), 2) for r, h in assignment.sorted_pairs()]
     return '{\n  "pairs": ' + _array(pairs, 1) + "\n}\n"
 

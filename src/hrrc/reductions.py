@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Callable
 
 from .hr_core import greedy
-from .model import Assignment, Instance, make_instance, require_valid
+from .model import Assignment, Instance, make_instance
 
 
 class DimacsError(ValueError):
@@ -428,9 +428,7 @@ class _Builder:
         self.regions.append((key, cap))
 
     def build(self) -> Instance:
-        instance = make_instance(self.residents, self.hospitals, self.regions)
-        require_valid(instance)
-        return instance
+        return make_instance(self.residents, self.hospitals, self.regions)
 
 
 def _x1(i: int) -> str:

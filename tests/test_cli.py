@@ -10,6 +10,7 @@ import pytest
 
 from hrrc import cli
 from hrrc.cli import main
+from hrrc.exhaustive import enumerate_feasible
 from hrrc.model import example_g2, load_matching, save_instance, save_matching
 from hrrc.model import Assignment
 from hrrc.stability import is_strongly_stable
@@ -171,6 +172,24 @@ def test_readme_round_trip_runs_as_shown(capsys, tmp_path, monkeypatch):
             continue
         assert argv[0] == "hrrc"
         assert run(capsys, *argv[1:]) == (0, expected, ""), argv
+
+
+def test_readme_library_quick_start_runs_as_shown():
+    block = README.read_text().split("## Library quick start\n\n```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    # Each "code  # comment" line below the imports states what the code gives.
+    shown = {}
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if sep:
+            shown[code.strip()] = comment.strip()
+    assert shown["classify(g2)"] == str(eval("classify(g2)", namespace))
+    assert shown["dispatch(g2).status"] == repr(eval("dispatch(g2).status", namespace))
+    assert shown["strongly_stable_set(g2)"] == "set(): all five feasible matchings are blocked"
+    assert eval("strongly_stable_set(g2)", namespace) == set()
+    assert len(list(enumerate_feasible(namespace["g2"]))) == 5
 
 
 def test_reduce_ppn_writes_sidecar(capsys, tmp_path):

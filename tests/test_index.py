@@ -120,6 +120,11 @@ def test_solve_222_disjoint_validates_once(compiles):
 
 @pytest.mark.parametrize("command", ["classify", "solve", "check", "brute"])
 def test_cli_validates_once(command, compiles, monkeypatch, tmp_path, capsys):
+    # Writing the fixture validates (so compiles) example_g2; count from main's start.
+    path = tmp_path / "g2.json"
+    path.write_text(save_instance(example_g2()))
+    matching = tmp_path / "empty.json"
+    matching.write_text(save_matching(Assignment()))
     loaded = []
 
     def recording(text):
@@ -128,11 +133,8 @@ def test_cli_validates_once(command, compiles, monkeypatch, tmp_path, capsys):
         return instance
 
     monkeypatch.setattr(cli, "load_instance", recording)
-    path = tmp_path / "g2.json"
-    path.write_text(save_instance(example_g2()))
-    matching = tmp_path / "empty.json"
-    matching.write_text(save_matching(Assignment()))
     argv = [command, str(path)] + ([str(matching)] if command == "check" else [])
+    compiles.clear()
     main(argv)
     assert len(loaded) == 1
     assert sum(c is loaded[0] for c in compiles) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import random
 
@@ -30,6 +31,7 @@ from hrrc.model import (
     load_matching,
     make_instance,
     matching_to_doc,
+    require_valid,
     save_instance,
     save_matching,
     validate,
@@ -441,11 +443,26 @@ def test_matching_roundtrip():
 # --- the writers against the json module ---------------------------------------
 #
 # save_instance and save_matching build their text directly; json.dumps with
-# indent=2 is the reference layout they must reproduce byte for byte.
+# indent=2 is the reference layout they must reproduce byte for byte.  The
+# instance writers take valid instances only, so every document they write
+# loads back equal.
 
 
 def assert_written_as_json_dumps(instance: Instance) -> None:
-    assert save_instance(instance) == json.dumps(instance_to_doc(instance), indent=2) + "\n"
+    assert validate(instance) == []
+    text = save_instance(instance)
+    assert text == json.dumps(instance_to_doc(instance), indent=2) + "\n"
+    assert load_instance(text) == instance
+
+
+def assert_writers_refuse(instance: Instance) -> None:
+    """Both instance writers raise require_valid's InstanceError on an invalid instance."""
+    with pytest.raises(InstanceError) as expected:
+        require_valid(instance)
+    for write in (save_instance, instance_to_doc):
+        with pytest.raises(InstanceError) as caught:
+            write(instance)
+        assert str(caught.value) == str(expected.value)
 
 
 def assert_matching_written_as_json_dumps(matching: Assignment) -> None:
@@ -456,13 +473,19 @@ PPN_TARGETS = [ReductionVariant.PPN_223, ReductionVariant.PPN_232, ReductionVari
 
 
 def test_writers_match_json_dumps_on_reductions():
-    for n in (2, 3):
-        for formula in all_ppn_formulas(n):
-            for variant in PPN_TARGETS:
-                assert_written_as_json_dumps(reduce_ppn(formula, variant)[0])
-    for n in (4, 5):
-        for formula in all_oneinthree_formulas(n):
-            assert_written_as_json_dumps(reduce_oneinthree(formula))
+    # The builders do not validate their output, so this pins that every image
+    # is valid and loads back equal.
+    images = [
+        reduce_ppn(formula, variant)[0]
+        for n in (2, 3)
+        for formula in all_ppn_formulas(n)
+        for variant in PPN_TARGETS
+    ]
+    assert len(images) == 351
+    images += [reduce_oneinthree(formula) for n in (4, 5) for formula in all_oneinthree_formulas(n)]
+    assert len(images) == 351 + 331
+    for instance in images:
+        assert_written_as_json_dumps(instance)
 
 
 def test_writers_match_json_dumps_on_random_draws():
@@ -477,14 +500,23 @@ def test_writers_match_json_dumps_on_random_draws():
 
 ODD_IDS = ["", "r\u00e9", "h\U0001F600", 'say "hi"', "back\\slash", "\x00\t\n\x1f", "\u2028\u2029", "/"]
 
+
+class Count(enum.IntEnum):
+    TWO = 2
+
+
 EDGE_INSTANCES = {
     "odd string ids": make_instance(
-        residents=[(ODD_IDS[0], ODD_IDS[4:]), (ODD_IDS[1], ODD_IDS[4:6])],
+        residents=[(ODD_IDS[0], ODD_IDS[4:]), (ODD_IDS[1], ODD_IDS[:3:-1])],
         hospitals=[(x, 1, ODD_IDS[:2]) for x in ODD_IDS[4:]]
         + [(ODD_IDS[2], 2, []), (ODD_IDS[3], 0, [])],
         regions=[(ODD_IDS[2:6], 1), (ODD_IDS[6:], 2)],
     ),
-    # make_instance does not validate, so the writer sees whatever the API holds.
+    # json renders an int subclass as int.__repr__ does, and so must the writer.
+    "int-subclass counts": make_instance(
+        residents=[("r", ["h"])], hospitals=[("h", Count.TWO, ["r"])], regions=[(["h"], Count.TWO)]
+    ),
+    # make_instance does not validate, so these two reach the writers invalid.
     "non-string ids and odd capacities": make_instance(
         residents=[(1, [("h", 2), None]), (("r", 2), [1.5, True])],
         hospitals=[(("h", 2), True, [1]), (None, -3, [("r", 2)]), ("h", 2.5, [])],
@@ -508,9 +540,15 @@ EDGE_INSTANCES = {
 }
 
 
+REFUSED = {"non-string ids and odd capacities", "ids only in preference lists"}
+
+
 @pytest.mark.parametrize("name", list(EDGE_INSTANCES))
 def test_save_instance_matches_json_dumps_on_edge_cases(name):
-    assert_written_as_json_dumps(EDGE_INSTANCES[name])
+    if name in REFUSED:
+        assert_writers_refuse(EDGE_INSTANCES[name])
+    else:
+        assert_written_as_json_dumps(EDGE_INSTANCES[name])
 
 
 @pytest.mark.parametrize(
@@ -524,7 +562,13 @@ def test_save_instance_matches_json_dumps_on_edge_cases(name):
     ],
 )
 def test_save_matching_matches_json_dumps_on_edge_cases(pairs):
-    assert_matching_written_as_json_dumps(Assignment.of(pairs))
+    matching = Assignment.of(pairs)
+    if all(isinstance(x, str) for pair in pairs for x in pair):
+        assert_matching_written_as_json_dumps(matching)
+    else:
+        # A document holds string ids only, and the escaper refuses any other.
+        with pytest.raises(TypeError):
+            save_matching(matching)
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,10 +585,11 @@ def test_save_load_identity(instance):
     ],
 )
 def test_validation_refuses_ids_a_document_cannot_hold(instance, message):
-    # The writer still writes such an instance; its document does not load back.
+    # The writer refuses such an instance, so it never writes a document that
+    # does not load back.
     assert validate(instance) == [message]
-    with pytest.raises(InstanceError, match="must be (a string|an array of strings)"):
-        load_instance(save_instance(instance))
+    with pytest.raises(InstanceError, match=message):
+        save_instance(instance)
 
 
 @settings(max_examples=60, deadline=None)
