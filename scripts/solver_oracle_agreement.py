@@ -2,7 +2,9 @@
 """Sweep random instances per tractable class and cross-check the solvers.
 
 For the three always-solvable classes the experiment verifies every returned
-matching with the stability checker; for the disjoint (2,2,2) class it also
+matching with the stability checker.  On singleton regions it also requires
+the matching of the reference deferred acceptance in ``tests/reference_da.py``
+run on the folded capacities.  For the disjoint (2,2,2) class it also
 compares the solver's verdict against exhaustive search.  A third of those
 draws hold example_g2-shaped blocks, so that the solver's negative verdict
 is exercised too: the sweep fails unless it reaches `found` and reaches
@@ -22,8 +24,11 @@ from typing import NoReturn
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import reference_da  # noqa: E402
 from gen import TIGHT_2X2, random_g2_blocks, random_instance  # noqa: E402
 from hrrc import (  # noqa: E402
+    Assignment,
+    Instance,
     exists_strongly_stable,
     is_strongly_stable,
     solve_222_disjoint,
@@ -48,10 +53,21 @@ def fail(message: str) -> NoReturn:
     raise SystemExit(f"disagreement: {message}")
 
 
+def folded_reference_da(inst: Instance) -> Assignment:
+    """The reference deferred acceptance, each singleton cap folded into its hospital."""
+    capacities = dict(inst.capacities)
+    for reg in inst.regions:
+        (h,) = reg.hospitals
+        capacities[h] = min(capacities[h], reg.cap)
+    return reference_da.DeferredAcceptance(inst, capacities).matching()
+
+
+# Each class: its name, solver, draw arguments, and a reference matching
+# the solver must equal, if any.
 CLASSES = [
-    ("singleton regions", solve_regions_size1, dict(gamma=1)),
-    ("unit resident lists", solve_res_len1, dict(alpha=1, gamma=3)),
-    ("unit hospital lists", solve_hosp_len1, dict(beta=1, gamma=3)),
+    ("singleton regions", solve_regions_size1, dict(gamma=1), folded_reference_da),
+    ("unit resident lists", solve_res_len1, dict(alpha=1, gamma=3), None),
+    ("unit hospital lists", solve_hosp_len1, dict(beta=1, gamma=3), None),
 ]
 
 
@@ -63,15 +79,19 @@ def main() -> None:
     args = parser.parse_args()
     cfg = SweepConfig(args.samples, args.seed, args.max_side)
 
-    for name, solver, params in CLASSES:
+    for name, solver, params, reference in CLASSES:
         rng = random.Random(cfg.seed)
         t0 = time.perf_counter()
         for _ in range(cfg.samples):
             inst = random_instance(rng, cfg.max_side, cfg.max_side, **params)
-            if not is_strongly_stable(inst, solver(inst)):
+            matching = solver(inst)
+            if not is_strongly_stable(inst, matching):
                 fail(f"{solver.__name__} returned an unstable matching on {inst}")
+            if reference is not None and matching != reference(inst):
+                fail(f"{solver.__name__} differs from {reference.__name__} on {inst}")
         dt = time.perf_counter() - t0
-        print(f"{name:22s} {cfg.samples} instances, all strongly stable  ({dt:.2f}s)")
+        same = "" if reference is None else f", equal to {reference.__name__}"
+        print(f"{name:22s} {cfg.samples} instances, all strongly stable{same}  ({dt:.2f}s)")
 
     rng = random.Random(cfg.seed)
     t0 = time.perf_counter()

@@ -1,5 +1,9 @@
 """Deferred acceptance, resumable after capacity cuts; shrinking; the greedy fill.
 
+:class:`DeferredAcceptance` is the package's one deferred acceptance.  Each
+hospital holds its assignees as their positions on its own preference list,
+so finding and rejecting the worst of them is integer work.
+
 :func:`greedy` is the package's one greedy fill: it decides the classes whose
 residents or hospitals list at most one agent, and fills the witnesses of the
 hardness reductions.
@@ -11,6 +15,7 @@ from collections import deque
 from dataclasses import replace
 from typing import Iterable, Mapping
 
+from .index import is_int
 from .model import Assignment, Instance
 
 
@@ -25,57 +30,88 @@ class DeferredAcceptance:
     capacity only adds rejections, so the state always holds the matching a
     fresh run on its capacities would give.
 
-    ``next_choice[r]`` is how far down its list ``r`` has proposed, ``held[h]``
-    the residents ``h`` holds.  ``gained`` collects every hospital that accepted
-    a proposal; the caller clears it once read.
+    ``next_choice[r]`` is how far down its list ``r`` has proposed.
+    ``held[h]`` holds, in no order, the positions on ``h``'s preference list
+    of the residents ``h`` holds, so its worst assignee is the largest one.
+    ``gained`` collects every hospital that accepted a proposal; the caller
+    clears it once read.  ``capacities``, when given, must hold one
+    non-negative int per hospital of the instance; :class:`ValueError` names
+    the first hospital that breaks this.
     """
 
-    __slots__ = ("capacities", "next_choice", "held", "gained", "_prefs", "_hrank")
+    __slots__ = ("capacities", "next_choice", "held", "gained", "_prefs", "_hprefs", "_hrank")
 
     def __init__(self, instance: Instance, capacities: Mapping[str, int] | None = None):
         self._prefs = instance.resident_prefs
+        self._hprefs = instance.hospital_prefs
         self._hrank = instance.index.hrank
-        self.capacities = dict(instance.capacities if capacities is None else capacities)
+        if capacities is None:
+            capacities = instance.capacities
+        else:
+            _check_capacities(instance, capacities)
+        self.capacities = dict(capacities)
         self.next_choice = dict.fromkeys(instance.residents, 0)
-        self.held: dict[str, list[str]] = {h: [] for h in instance.hospitals}
+        self.held: dict[str, list[int]] = {h: [] for h in instance.hospitals}
         self.gained: set[str] = set()
         self._propose(deque(instance.residents))
 
     def _propose(self, free: deque[str]) -> None:
-        prefs_of, hrank, capacities = self._prefs, self._hrank, self.capacities
-        next_choice, held, gained = self.next_choice, self.held, self.gained
+        prefs_of, hprefs, hrank = self._prefs, self._hprefs, self._hrank
+        capacities, next_choice, held, gained = (
+            self.capacities, self.next_choice, self.held, self.gained
+        )
         while free:
             r = free.popleft()
             prefs = prefs_of[r]
-            while next_choice[r] < len(prefs):
-                h = prefs[next_choice[r]]
-                next_choice[r] += 1
+            i = next_choice[r]
+            while i < len(prefs):
+                h = prefs[i]
+                i += 1
                 q = capacities[h]
                 if q == 0:
                     continue
-                held_h, rank = held[h], hrank[h]
+                held_h, rank = held[h], hrank[h][r]
                 if len(held_h) >= q:
-                    worst = max(held_h, key=rank.__getitem__)
-                    if rank[worst] < rank[r]:
+                    worst = max(held_h)
+                    if worst < rank:
                         continue
                     held_h.remove(worst)
-                    free.append(worst)
-                held_h.append(r)
+                    free.append(hprefs[h][worst])
+                held_h.append(rank)
                 gained.add(h)
                 break
+            next_choice[r] = i
 
     def squeeze(self, h: str) -> None:
         """Lower ``h``'s capacity by one and resume from the rejection it forces."""
         self.capacities[h] -= 1
         held_h = self.held[h]
         if len(held_h) > self.capacities[h]:
-            worst = max(held_h, key=self._hrank[h].__getitem__)
+            worst = max(held_h)
             held_h.remove(worst)
-            self._propose(deque([worst]))
+            self._propose(deque([self._hprefs[h][worst]]))
 
     def matching(self) -> Assignment:
         """The matching the state holds."""
-        return Assignment.of((r, h) for h, rs in self.held.items() for r in rs)
+        hprefs = self._hprefs
+        return Assignment(
+            frozenset((hprefs[h][t], h) for h, ranks in self.held.items() for t in ranks)
+        )
+
+
+def _check_capacities(instance: Instance, capacities: Mapping[str, int]) -> None:
+    """Raise :class:`ValueError` unless ``capacities`` holds one non-negative int per hospital."""
+    for h in instance.hospitals:
+        if h not in capacities:
+            raise ValueError(f"capacities have no entry for hospital {h!r}")
+        q = capacities[h]
+        if not is_int(q) or q < 0:
+            raise ValueError(f"hospital {h!r} has invalid capacity {q!r}")
+    if len(capacities) != len(instance.hospitals):
+        known = instance.index.hospital_pos
+        for h in capacities:
+            if h not in known:
+                raise ValueError(f"capacities name {h!r}, which is not a hospital of the instance")
 
 
 def rgs(
@@ -89,7 +125,8 @@ def rgs(
     Regions play no role here; passing a region-bearing instance requires the
     explicit ``ignore_regions`` flag so call sites acknowledge that the caps
     are being set aside.  ``capacities``, when given, replaces the instance's
-    hospital capacities (each a non-negative integer).
+    hospital capacities: one non-negative int per hospital, or
+    :class:`ValueError`.
     """
     if instance.regions and not ignore_regions:
         raise ValueError(

@@ -435,7 +435,10 @@ def save_matching(assignment: Assignment) -> str:
 
     Ids must be strings, as a document holds them; any other id raises TypeError.
     """
-    pairs = [_ids((r, h), 2) for r, h in assignment.sorted_pairs()]
+    pairs = [
+        "[\n      " + _escape(r) + ",\n      " + _escape(h) + "\n    ]"
+        for r, h in assignment.sorted_pairs()
+    ]
     return '{\n  "pairs": ' + _array(pairs, 1) + "\n}\n"
 
 

@@ -1,4 +1,8 @@
-"""Deferred acceptance and the capacity-shrinking step."""
+"""Deferred acceptance and the capacity-shrinking step.
+
+``reference_da.DeferredAcceptance`` is the package's deferred acceptance as it
+was on resident ids; the differential below pins the rank-based one to it.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ from itertools import product
 
 import pytest
 
+import reference_da
 from gen import random_instance
 from hrrc.exhaustive import strongly_stable_set
 from hrrc.hr_core import DeferredAcceptance, rgs, shrink
@@ -124,6 +129,64 @@ def test_squeezes_resume_to_the_rerun_matching():
             grew = {h for h, rs in da.held.items() if len(rs) > before[h]}
             assert grew <= da.gained
     assert squeezes > 1000
+
+
+def assert_same_state(da, ref):
+    assert da.matching() == ref.matching()
+    assert da.next_choice == ref.next_choice
+    assert da.capacities == ref.capacities
+    assert da.gained == ref.gained
+
+
+def test_da_matches_the_reference_after_every_squeeze():
+    rng = random.Random(29)
+    squeezes = zeros = empties = 0
+    for k in range(400):
+        inst = random_instance(rng, 10, 6, gamma=0, edge_prob=rng.choice((0.3, 0.6, 0.9)))
+        # Every other draw runs on capacities passed in, as the solvers do.
+        caps = {h: rng.randint(0, 3) for h in inst.hospitals} if k % 2 else None
+        da, ref = DeferredAcceptance(inst, caps), reference_da.DeferredAcceptance(inst, caps)
+        zeros += 0 in da.capacities.values()
+        empties += any(not prefs for prefs in inst.resident_prefs.values())
+        assert_same_state(da, ref)
+        while True:
+            open_hospitals = [h for h in inst.hospitals if da.capacities[h] > 0]
+            if not open_hospitals or rng.random() < 0.1:
+                break
+            h = rng.choice(open_hospitals)
+            da.squeeze(h)
+            ref.squeeze(h)
+            squeezes += 1
+            assert_same_state(da, ref)
+            if rng.random() < 0.5:
+                da.gained.clear()
+                ref.gained.clear()
+    assert squeezes > 1000 and zeros > 100 and empties > 50
+
+
+@pytest.mark.parametrize("seed, proposals", [(0, 222), (3, 26), (4, 39), (5, 114)])
+def test_da_proposal_counts(seed, proposals):
+    inst = random_instance(random.Random(seed), 60, 8, gamma=0)
+    for da in (DeferredAcceptance(inst), reference_da.DeferredAcceptance(inst)):
+        assert sum(da.next_choice.values()) == proposals
+
+
+@pytest.mark.parametrize(
+    "capacities, message",
+    [
+        ({"h1": -1, "h2": 1}, "hospital 'h1' has invalid capacity -1"),
+        ({"h1": 1}, "no entry for hospital 'h2'"),
+        ({"h1": 1, "h2": 1.5}, "hospital 'h2' has invalid capacity 1.5"),
+        ({"h1": True, "h2": 1}, "hospital 'h1' has invalid capacity True"),
+        ({"h1": 1, "h2": 1, "h3": 1}, "'h3', which is not a hospital"),
+    ],
+)
+def test_da_refuses_bad_capacities(capacities, message):
+    inst = example_g2()
+    with pytest.raises(ValueError, match=message):
+        rgs(inst, ignore_regions=True, capacities=capacities)
+    with pytest.raises(ValueError, match=message):
+        DeferredAcceptance(inst, capacities)
 
 
 def test_shrink_examples():

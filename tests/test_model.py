@@ -557,8 +557,15 @@ def test_save_instance_matches_json_dumps_on_edge_cases(name):
         [],
         [("r1", "h1")],
         list(zip(ODD_IDS, reversed(ODD_IDS))),
+        # Every control character, quotes and backslashes, non-ASCII text and
+        # a lone surrogate, on both sides of a pair.
+        [(chr(c), f"h{c}") for c in [*range(0x20), 0x7F]],
+        [('"', "\\"), ('\\"', '"\\'), ("\\u0041", '""')],
+        [("r\u00e9sident", "h\u00f4pital"), ("\u65e5\u672c", "\U0001F3E5"), ("\ud800", "\udfff")],
         [(1, 2), (0, 5)],
         [(("r", 1), "h"), (("r", 0), None)],
+        [("r", 1)],
+        [(1, "h")],
     ],
 )
 def test_save_matching_matches_json_dumps_on_edge_cases(pairs):
