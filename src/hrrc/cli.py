@@ -23,6 +23,8 @@ from pathlib import Path
 
 from . import exhaustive, poly_solvers, reductions, stability
 from .model import (
+    FOUND,
+    NONE_EXISTS,
     Assignment,
     Instance,
     InstanceError,
@@ -91,7 +93,7 @@ def _report_outcome(outcome: SolveOutcome, args: argparse.Namespace) -> int:
             print(outcome.reason, file=sys.stderr)
     if outcome.is_found:
         return EXIT_OK
-    return EXIT_NEGATIVE if outcome.status == "none-exists" else EXIT_ERROR
+    return EXIT_NEGATIVE if outcome.status == NONE_EXISTS else EXIT_ERROR
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -165,7 +167,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
         if args.json:
             _emit_json(
                 {
-                    "status": "found" if matchings else "none-exists",
+                    "status": FOUND if matchings else NONE_EXISTS,
                     "count": len(matchings),
                     "matchings": [matching_to_doc(m) for m in matchings],
                 }

@@ -24,8 +24,9 @@ leaves in the same order as a chronological one.
 
 Set-up reads the instance's compiled view once into flat tables of integers
 indexed by position, and the walk reads only those: no id is looked up while
-it runs.  The walk can also cover a closed slice of the residents, with
-resident and hospital tables sized to the slice (see :func:`first_leaf`).
+it runs.  The walk covers a closed slice of the residents, with resident and
+hospital tables sized to the slice; the whole instance is the slice of every
+resident (see :func:`first_leaf`).
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .stability import certified
 class _Search:
     """Flat tables and the one depth-first walk over them.
 
-    Residents are numbered by their position in the walk, and hospitals in
-    declaration order: all of them on the whole instance, those the slice
-    lists on a slice.  Regions keep the instance's numbers.  Sets of
-    residents are bit masks over positions.
+    Residents are numbered by their position in the walk, and the hospitals
+    they list in declaration order.  Regions keep the instance's numbers.
+    Sets of residents are bit masks over positions.
 
     * ``options[i]`` lists resident ``i``'s acceptable hospitals in
       declaration order as (hospital, its rank on the resident's list),
@@ -69,15 +69,15 @@ class _Search:
     its listers, its regions).  Its listers are the only residents who can
     change its load.
 
-    The walk covers ``residents``: every resident by default, or a closed
-    slice, which holds every resident who lists a hospital the slice lists
-    or a hospital of a region containing one.  Nothing outside it can change
-    what the walk reads, so the tables cover only the slice's residents and
-    the hospitals they list; a hospital of the same region that nobody lists
-    holds no one, so the region tables read it as empty.  Over independent
-    closed blocks, each in declaration order, the first leaf is the union of
-    each block's first leaf, and a block with no leaf blames only its own
-    residents, so the walk ends when it runs out.
+    The walk covers a closed slice ``residents``, which holds every resident
+    who lists a hospital the slice lists or a hospital of a region
+    containing one; the default, every resident, is the whole instance.
+    Nothing outside the slice can change what the walk reads, so the tables
+    cover only its residents and the hospitals they list; a hospital that
+    none of them lists holds no one, so the region tables read it as empty.
+    Over independent closed blocks, each in declaration order, the first
+    leaf is the union of each block's first leaf, and a block with no leaf
+    blames only its own residents, so the walk ends when it runs out.
 
     Each depth of the walk keeps a conflict set, the culprits of the options
     it rejected:
@@ -98,10 +98,10 @@ class _Search:
     everyone placed after it, and adds the rest of the set to the member's
     own: they are why its current option failed.  An empty set means no
     leaf remains.  Skipped subtrees hold no leaf, so the leaves and their
-    order, the first one included, are those of a chronological walk.  Under
-    a prefix that led to a yielded leaf the walk steps back one resident at
-    a time, since a yielded option is not a rejected one and has no
-    culprits.
+    order, the first one included, are those of a chronological walk.  A
+    yielded leaf rejects no option, so each of its residents gets its
+    predecessor as a culprit: under the leaf's prefix the same rule steps
+    back one resident at a time.
 
     ``checks`` counts the pruned walk's tests for a final strong blocking
     pair: one after each option, "unassigned" included, that fits every
@@ -114,12 +114,9 @@ class _Search:
         resident_prefs, hospital_prefs = instance.resident_prefs, instance.hospital_prefs
         if residents is None:
             residents = instance.residents
-            hospitals = instance.hospitals
-            local = hospital_pos
-        else:
-            listed = {h for r in residents for h in resident_prefs[r]}
-            hospitals = sorted(listed, key=hospital_pos.__getitem__)
-            local = {h: j for j, h in enumerate(hospitals)}
+        listed = {h for r in residents for h in resident_prefs[r]}
+        hospitals = sorted(listed, key=hospital_pos.__getitem__)
+        local = {h: j for j, h in enumerate(hospitals)}
         self.residents = residents
         self.hospitals = hospitals
         n, m = len(residents), len(hospitals)
@@ -156,15 +153,15 @@ class _Search:
             for k in hospital_regions[j]:
                 region_listers[k] |= lister_masks[j]
         self.determined_at: list[list] = [[] for _ in residents]
+        # Every hospital in the tables has a lister, so each becomes final.
         for j in range(m):
             watchers = lister_masks[j]
-            if watchers:
-                regions = hospital_regions[j]
-                for k in regions:
-                    watchers |= region_listers[k]
-                self.determined_at[watchers.bit_length() - 1].append(
-                    (j, listers[j], lister_masks[j], regions)
-                )
+            regions = hospital_regions[j]
+            for k in regions:
+                watchers |= region_listers[k]
+            self.determined_at[watchers.bit_length() - 1].append(
+                (j, listers[j], lister_masks[j], regions)
+            )
         self.checks = 0
 
     def current(self) -> Assignment:
@@ -204,30 +201,27 @@ class _Search:
         # Every resident before the current one holds an option.
         cursor = [0] * (n + 1)
         conflicts = [0] * (n + 1)
-        # Residents before position `pinned` sit as in the last yielded leaf.
-        pinned = 0
         i = 0
         while i >= 0:
             if i == n:
                 yield self.current()
-                i = pinned = n - 1
+                # The leaf's options are not rejected ones: blame each
+                # resident's predecessor, so the walk steps back one at a time.
+                for j in range(1, n):
+                    conflicts[j] |= 1 << (j - 1)
+                i = n - 1
                 continue
             if assigned[i] is not None:  # take back resident i's previous option
                 unplace(i)
             pos = cursor[i]
             if pos == len(options[i]):
-                if i <= pinned:
-                    back = i - 1
-                else:
-                    culprits = conflicts[i] & ((1 << i) - 1)
-                    back = culprits.bit_length() - 1
-                    conflicts[back] |= culprits
-                    for j in range(i - 1, back, -1):
-                        unplace(j)
+                culprits = conflicts[i] & ((1 << i) - 1)
+                back = culprits.bit_length() - 1
+                conflicts[back] |= culprits
+                for j in range(i - 1, back, -1):
+                    unplace(j)
                 i = back
                 continue
-            if i < pinned:
-                pinned = i
             cursor[i] = pos + 1
             h, rank = options[i][pos]
             if load[h] >= capacity[h]:
@@ -300,9 +294,9 @@ def strongly_stable_set(instance: Instance) -> set[Assignment]:
 def first_leaf(instance: Instance, residents: tuple[str, ...] | None = None) -> Assignment | None:
     """The first leaf of the pruned walk over ``residents``, or None if none survives.
 
-    ``residents`` is every resident by default, or a closed slice (see
-    :class:`_Search`).  The leaf is not certified: a slice's pairs alone
-    need not be strongly stable on the whole instance.
+    ``residents`` is a closed slice (see :class:`_Search`); the default,
+    every resident, walks the whole instance.  The leaf is not certified: a
+    slice's pairs alone need not be strongly stable on the whole instance.
     """
     return next(_Search(instance, residents).leaves(True), None)
 

@@ -1,9 +1,10 @@
 """A compiled view of one instance: the lookup tables every layer shares.
 
-An :class:`InstanceIndex` is built in one pass, in time linear in the
-instance's size, and that pass is the instance's validation: it fills the
-tables and collects every violation as it goes.  Each instance compiles its
-own view on first use and keeps it (``Instance.index``, see
+An :class:`InstanceIndex` is built in time linear in the instance's size, and
+building it is the instance's validation: it fills the tables, both sides'
+rank tables first, checks each side's lists against the other side's table
+with one routine, and collects every violation as it goes.  Each instance
+compiles its own view on first use and keeps it (``Instance.index``, see
 :mod:`hrrc.model`), so every layer reads the same tables and no instance is
 validated twice.  The tables stand for a valid instance only.
 """
@@ -19,6 +20,27 @@ if TYPE_CHECKING:
 def is_int(value: object) -> bool:
     """Whether ``value`` may stand as a capacity or cap: an int, but not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_lists(
+    side: str, agents: tuple, prefs_of: dict, rank: dict, other: str, other_rank: dict, out: list
+) -> list[str]:
+    """Append one side's duplicate and unknown entries to ``out``; return its non-mutual ones.
+
+    A list with a repeated entry is longer than its table in ``rank``.
+    """
+    mutual: list[str] = []
+    for a in agents:
+        prefs = prefs_of.get(a, ())
+        if len(rank[a]) != len(prefs):
+            out.append(f"{side} {a!r} has duplicate entries in preference list")
+        for b in prefs:
+            listed = other_rank.get(b)
+            if listed is None:
+                out.append(f"{side} {a!r} lists unknown {other} {b!r}")
+            elif a not in listed:
+                mutual.append(f"{side} {a!r} lists {b!r} but {b!r} does not list {a!r}")
+    return mutual
 
 
 class InstanceIndex:
@@ -74,40 +96,17 @@ class InstanceIndex:
             if not is_int(q) or q < 0:
                 out.append(f"hospital {h!r} has invalid capacity {q!r}")
 
-        # Each side checks its entries against the other side's tables.
+        self.rrank = rrank = {
+            r: {h: i for i, h in enumerate(resident_prefs.get(r, ()))} for r in residents
+        }
         self.hrank = hrank = {
             h: {r: i for i, r in enumerate(hospital_prefs.get(h, ()))} for h in hospitals
         }
-        self.rrank = rrank = {}
-        resident_mutual: list[str] = []
-        for r in residents:
-            prefs = resident_prefs.get(r, ())
-            rank = rrank[r] = {h: i for i, h in enumerate(prefs)}
-            if len(rank) != len(prefs):
-                out.append(f"resident {r!r} has duplicate entries in preference list")
-            for h in prefs:
-                listed = hrank.get(h)
-                if listed is None:
-                    out.append(f"resident {r!r} lists unknown hospital {h!r}")
-                elif r not in listed:
-                    resident_mutual.append(
-                        f"resident {r!r} lists {h!r} but {h!r} does not list {r!r}"
-                    )
-        hospital_mutual: list[str] = []
-        for h in hospitals:
-            prefs = hospital_prefs.get(h, ())
-            if len(hrank[h]) != len(prefs):
-                out.append(f"hospital {h!r} has duplicate entries in preference list")
-            for r in prefs:
-                listed = rrank.get(r)
-                if listed is None:
-                    out.append(f"hospital {h!r} lists unknown resident {r!r}")
-                elif h not in listed:
-                    hospital_mutual.append(
-                        f"hospital {h!r} lists {r!r} but {r!r} does not list {h!r}"
-                    )
-        out += resident_mutual
-        out += hospital_mutual
+        # Each side checks its entries against the other side's table; the
+        # non-mutual entries of both sides follow every other list fault.
+        mutual = _check_lists("resident", residents, resident_prefs, rrank, "hospital", hrank, out)
+        mutual += _check_lists("hospital", hospitals, hospital_prefs, hrank, "resident", rrank, out)
+        out += mutual
 
         self.regions_of = regions_of = dict.fromkeys(hospitals, ())
         seen_sets: dict[frozenset[str], int] = {}

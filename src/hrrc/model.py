@@ -29,8 +29,9 @@ Document formats (UTF-8 JSON):
 The instance writers take valid instances only: they validate first and raise
 :class:`InstanceError` otherwise, so every document they write loads back
 equal.  The writers build document text directly, line by line; it is
-byte-identical to ``json.dumps(doc, indent=2)`` plus a newline.  The parsers
-build an instance or matching in one pass over the document and raise
+byte-identical to ``json.dumps(doc, indent=2)`` plus a newline.  The instance
+parser reads the residents and then the hospitals with one routine, then the
+regions, building the instance's fields as it goes.  The parsers raise
 :class:`InstanceError` naming the first fault they find.
 """
 
@@ -331,6 +332,36 @@ def _is_strings(value: object) -> bool:
     return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
+def _agents(doc: dict, side: str, capacities: dict[str, int] | None) -> tuple[dict, int]:
+    """``doc[side]``'s preference lists by id, and the number of its entries.
+
+    The hospital side passes ``capacities``: each entry's capacity, checked
+    between its id and its prefs, fills it.
+    """
+    raw = doc.get(side, [])
+    if not isinstance(raw, list):
+        raise InstanceError(f"'{side}' must be an array")
+    prefs_of: dict[str, tuple[str, ...]] = {}
+    for k, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise InstanceError(f"{side}[{k}] must be an object")
+        if "id" not in entry:
+            raise InstanceError(f"{side}[{k}] is missing 'id'")
+        agent = entry["id"]
+        if not isinstance(agent, str):
+            raise InstanceError(f"{side}[{k}].id must be a string")
+        if capacities is not None:
+            cap = entry.get("capacity")
+            if not is_int(cap):
+                raise InstanceError(f"{side}[{k}].capacity must be an integer")
+            capacities[agent] = cap
+        prefs = entry.get("prefs", [])
+        if not _is_strings(prefs):
+            raise InstanceError(f"{side}[{k}].prefs must be an array of strings")
+        prefs_of[agent] = tuple(prefs)
+    return prefs_of, len(raw)
+
+
 def instance_from_doc(doc: object) -> Instance:
     # One pass over the entries builds the instance's own fields.  Each message
     # is built only when its check fails: a document runs hundreds of checks
@@ -340,50 +371,13 @@ def instance_from_doc(doc: object) -> Instance:
     unknown = set(doc) - {"residents", "hospitals", "regions"}
     if unknown:
         raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
-
-    resident_prefs: dict[str, tuple[str, ...]] = {}
-    raw_res = doc.get("residents", [])
-    if not isinstance(raw_res, list):
-        raise InstanceError("'residents' must be an array")
-    for k, entry in enumerate(raw_res):
-        if not isinstance(entry, dict):
-            raise InstanceError(f"residents[{k}] must be an object")
-        if "id" not in entry:
-            raise InstanceError(f"residents[{k}] is missing 'id'")
-        rid = entry["id"]
-        if not isinstance(rid, str):
-            raise InstanceError(f"residents[{k}].id must be a string")
-        prefs = entry.get("prefs", [])
-        if not _is_strings(prefs):
-            raise InstanceError(f"residents[{k}].prefs must be an array of strings")
-        resident_prefs[rid] = tuple(prefs)
-
+    resident_prefs, n_residents = _agents(doc, "residents", None)
     capacities: dict[str, int] = {}
-    hospital_prefs: dict[str, tuple[str, ...]] = {}
-    raw_hosp = doc.get("hospitals", [])
-    if not isinstance(raw_hosp, list):
-        raise InstanceError("'hospitals' must be an array")
-    for k, entry in enumerate(raw_hosp):
-        if not isinstance(entry, dict):
-            raise InstanceError(f"hospitals[{k}] must be an object")
-        if "id" not in entry:
-            raise InstanceError(f"hospitals[{k}] is missing 'id'")
-        hid = entry["id"]
-        if not isinstance(hid, str):
-            raise InstanceError(f"hospitals[{k}].id must be a string")
-        cap = entry.get("capacity")
-        if not is_int(cap):
-            raise InstanceError(f"hospitals[{k}].capacity must be an integer")
-        prefs = entry.get("prefs", [])
-        if not _is_strings(prefs):
-            raise InstanceError(f"hospitals[{k}].prefs must be an array of strings")
-        capacities[hid] = cap
-        hospital_prefs[hid] = tuple(prefs)
-
+    hospital_prefs, n_hospitals = _agents(doc, "hospitals", capacities)
     # An id seen twice keeps one key, so the dict is shorter than its array.
-    if len(resident_prefs) != len(raw_res):
+    if len(resident_prefs) != n_residents:
         raise InstanceError("duplicate resident id")
-    if len(hospital_prefs) != len(raw_hosp):
+    if len(hospital_prefs) != n_hospitals:
         raise InstanceError("duplicate hospital id")
 
     # Regions keyed by hospital set and cap, first occurrence first: identical

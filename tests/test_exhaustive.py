@@ -26,8 +26,17 @@ from hrrc.stability import is_feasible, is_matching, is_strongly_stable
 
 
 def naive_feasible(instance):
-    """Independent recount: full product of per-resident choices, then filter."""
-    options = [[None] + list(instance.resident_prefs[r]) for r in instance.residents]
+    """Independent recount: the full product of per-resident choices, then filter.
+
+    The product runs in the walk's order: the first resident in declaration
+    order changes slowest, and each one tries the hospitals it lists in
+    hospital declaration order, then "unassigned".
+    """
+    position = {h: j for j, h in enumerate(instance.hospitals)}
+    options = [
+        [*sorted(instance.resident_prefs[r], key=position.__getitem__), None]
+        for r in instance.residents
+    ]
     out = []
     for combo in product(*options):
         m = Assignment.of(
@@ -119,14 +128,15 @@ def test_exists_agrees_with_set_and_returns_canonical_first():
             assert out.status == "none-exists"
 
 
-def test_backjumping_walk_equals_the_chronological_walk():
-    # Tight draws (unit capacities and caps, dense lists) reach none-exists
-    # often enough to check that a jump never skips a strongly stable matching;
-    # the 2-variable PPN reductions catch a jump past a resident who could
-    # fill a blocking pair's hospital or one of its regions.
+def walk_draws():
+    """1,500 draws of up to five agents a side.
+
+    The odd ones are tight (unit capacities and caps, dense lists), so they
+    often have no strongly stable matching.
+    """
     rng = random.Random(37)
     tight = dict(min_capacity=1, max_capacity=1, max_region_cap=1, edge_prob=0.9)
-    draws = [
+    return [
         random_instance(
             rng,
             max_residents=5,
@@ -138,6 +148,26 @@ def test_backjumping_walk_equals_the_chronological_walk():
         )
         for draw in range(1500)
     ]
+
+
+def test_walk_yields_the_canonical_order():
+    # The sets alone would pass a walk that reorders its leaves, or one that
+    # jumps over a leaf and finds it again later.
+    rng = random.Random(23)
+    draws = [random_instance(rng, max_residents=4, max_hospitals=4) for _ in range(100)]
+    for inst in draws + walk_draws()[1::2]:
+        feasible = naive_feasible(inst)
+        assert list(enumerate_feasible(inst)) == feasible
+        stable = [m for m in feasible if is_strongly_stable(inst, m)]
+        assert list(_Search(inst).leaves(True)) == stable
+
+
+def test_backjumping_walk_equals_the_chronological_walk():
+    # Tight draws reach none-exists often enough to check that a jump never
+    # skips a strongly stable matching; the 2-variable PPN reductions catch a
+    # jump past a resident who could fill a blocking pair's hospital or one of
+    # its regions.
+    draws = walk_draws()
     reductions = [
         reduce_ppn(formula, variant)[0]
         for formula in all_ppn_formulas(2)
