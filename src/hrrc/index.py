@@ -1,12 +1,18 @@
 """A compiled view of one instance: the lookup tables every layer shares.
 
-An :class:`InstanceIndex` is built in time linear in the instance's size, and
-building it is the instance's validation: it fills the tables, both sides'
-rank tables first, checks each side's lists against the other side's table
-with one routine, and collects every violation as it goes.  Each instance
-compiles its own view on first use and keeps it (``Instance.index``, see
-:mod:`hrrc.model`), so every layer reads the same tables and no instance is
-validated twice.  The tables stand for a valid instance only.
+Building an :class:`InstanceIndex` takes time linear in the instance's size
+and validates it, collecting every violation.  Each instance compiles its
+view on first use and keeps it (``Instance.index``, see :mod:`hrrc.model`),
+so none is validated twice.  The tables stand for a valid instance only.
+
+Only the hospitals' lists get rank tables.  The residents' lists are checked
+entry by entry against them; the hospitals' lists are, only when a count
+fails.  It passes when nothing is reported yet and both sides' lists hold as
+many entries in all, and then that check would report nothing.  Proof: the
+residents' entries ``(r, h)`` are distinct pairs with ``r`` in ``h``'s table,
+so their total is at most the tables' total, which is at most the hospitals'
+lists' total.  The two ends are equal, so every table entry is a resident
+entry (known and mutual), and no list is longer than its table (no repeats).
 """
 
 from __future__ import annotations
@@ -22,47 +28,19 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_lists(
-    side: str, agents: tuple, prefs_of: dict, rank: dict, other: str, other_rank: dict, out: list
-) -> list[str]:
-    """Append one side's duplicate and unknown entries to ``out``; return its non-mutual ones.
-
-    A list with a repeated entry is longer than its table in ``rank``.
-    """
-    mutual: list[str] = []
-    for a in agents:
-        prefs = prefs_of.get(a, ())
-        if len(rank[a]) != len(prefs):
-            out.append(f"{side} {a!r} has duplicate entries in preference list")
-        for b in prefs:
-            listed = other_rank.get(b)
-            if listed is None:
-                out.append(f"{side} {a!r} lists unknown {other} {b!r}")
-            elif a not in listed:
-                mutual.append(f"{side} {a!r} lists {b!r} but {b!r} does not list {a!r}")
-    return mutual
-
-
 class InstanceIndex:
-    """Declaration positions, rank tables, and region membership.
+    """Declaration positions, the hospitals' rank tables, and region membership.
 
-    ``rrank[r][h]`` / ``hrank[h][r]`` is the position of ``h`` on ``r``'s list
-    (of ``r`` on ``h``'s).  ``regions_of[h]`` lists, in declaration order, the
-    indices into ``instance.regions`` of the regions containing ``h``;
-    ``region_caps[k]`` is region ``k``'s cap.  ``violations`` holds one message
-    per broken instance invariant, in :func:`hrrc.model.validate`'s order; the
-    tables are meaningful only when it is empty.  Treat everything as
-    read-only.
+    ``hrank[h][r]`` is the position of ``r`` on ``h``'s list.  ``regions_of[h]``
+    lists, in declaration order, the indices into ``instance.regions`` of the
+    regions containing ``h``; ``region_caps[k]`` is region ``k``'s cap.
+    ``violations`` holds one message per broken instance invariant, in
+    :func:`hrrc.model.validate`'s order; the tables are meaningful only when
+    it is empty.  Treat everything as read-only.
     """
 
     __slots__ = (
-        "resident_pos",
-        "hospital_pos",
-        "rrank",
-        "hrank",
-        "regions_of",
-        "region_caps",
-        "violations",
+        "resident_pos", "hospital_pos", "hrank", "regions_of", "region_caps", "violations"
     )
 
     def __init__(self, instance: Instance):
@@ -96,16 +74,36 @@ class InstanceIndex:
             if not is_int(q) or q < 0:
                 out.append(f"hospital {h!r} has invalid capacity {q!r}")
 
-        self.rrank = rrank = {
-            r: {h: i for i, h in enumerate(resident_prefs.get(r, ()))} for r in residents
-        }
         self.hrank = hrank = {
             h: {r: i for i, r in enumerate(hospital_prefs.get(h, ()))} for h in hospitals
         }
-        # Each side checks its entries against the other side's table; the
-        # non-mutual entries of both sides follow every other list fault.
-        mutual = _check_lists("resident", residents, resident_prefs, rrank, "hospital", hrank, out)
-        mutual += _check_lists("hospital", hospitals, hospital_prefs, hrank, "resident", rrank, out)
+        # The non-mutual entries of both sides follow every other list fault.
+        mutual: list[str] = []
+        for r in residents:
+            prefs = resident_prefs.get(r, ())
+            if len(set(prefs)) != len(prefs):
+                out.append(f"resident {r!r} has duplicate entries in preference list")
+            for h in prefs:
+                listed = hrank.get(h)
+                if listed is None:
+                    out.append(f"resident {r!r} lists unknown hospital {h!r}")
+                elif r not in listed:
+                    mutual.append(f"resident {r!r} lists {h!r} but {h!r} does not list {r!r}")
+        # The count of the module docstring; with nothing reported yet, each
+        # side's lists are keyed by its declared ids.
+        if out or mutual or (
+            sum(map(len, resident_prefs.values())) != sum(map(len, hospital_prefs.values()))
+        ):
+            listed_by = {r: set(resident_prefs.get(r, ())) for r in residents}
+            for h in hospitals:
+                prefs = hospital_prefs.get(h, ())
+                if len(hrank[h]) != len(prefs):
+                    out.append(f"hospital {h!r} has duplicate entries in preference list")
+                for r in prefs:
+                    if r not in listed_by:
+                        out.append(f"hospital {h!r} lists unknown resident {r!r}")
+                    elif h not in listed_by[r]:
+                        mutual.append(f"hospital {h!r} lists {r!r} but {r!r} does not list {h!r}")
         out += mutual
 
         self.regions_of = regions_of = dict.fromkeys(hospitals, ())

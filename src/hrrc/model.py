@@ -437,13 +437,15 @@ def save_matching(assignment: Assignment) -> str:
 
 
 def load_matching(text: str) -> Assignment:
-    """Parse a matching document: ``{"pairs": [[resident, hospital], ...]}``."""
+    """Parse a matching document: ``{"pairs": [[resident, hospital], ...]}`` and no other key."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"matching document is not valid JSON: {exc}") from exc
     if not (isinstance(doc, dict) and "pairs" in doc):
         raise InstanceError("matching document must have 'pairs'")
+    if len(doc) > 1:
+        raise InstanceError(f"unknown top-level keys: {sorted(set(doc) - {'pairs'})}")
     pairs = doc["pairs"]
     if not isinstance(pairs, list):
         raise InstanceError("'pairs' must be an array")

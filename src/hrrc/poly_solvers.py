@@ -287,7 +287,7 @@ def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignm
             squeeze = members[0]
         elif len(common[k]) == 1:
             (r,) = common[k]
-            h_plus, h_minus = sorted(members, key=index.rrank[r].__getitem__)
+            h_plus, h_minus = sorted(members, key=instance.resident_prefs[r].index)
             squeeze = h_minus if capacities[h_minus] > 0 else h_plus
         else:
             squeeze = next((h for h in members if capacities[h] > 0), members[0])

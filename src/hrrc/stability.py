@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .model import Assignment, Instance
+from .model import Assignment, Instance, require_valid
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,15 @@ class _MatchingState:
 
 def _read(instance: Instance, assignment: Assignment) -> tuple[_MatchingState | None, list[str]]:
     """The matching state, or None and the violations if not a matching."""
-    index = instance.index
+    require_valid(instance)  # its lists are read as they are
+    resident_prefs = instance.resident_prefs
     hospital_of: dict[str, str] = {}
     assignees: dict[str, list[str]] = {h: [] for h in instance.hospitals}
     clean = True
     for r, h in assignment.pairs:
-        ranks = index.rrank.get(r)
         held = assignees.get(h)
-        if ranks is None or h not in ranks or r in hospital_of or held is None:
-            clean = False
+        if clean:  # r comes for the first time, so each list is scanned once
+            clean = h in resident_prefs.get(r, ()) and r not in hospital_of and held is not None
         if held is not None:
             held.append(r)  # every pair at a known hospital counts toward its load
         hospital_of[r] = h
@@ -202,7 +202,7 @@ def _blocking(state: _MatchingState) -> Iterator[tuple[str, str, Witness | None]
         current = hospital_of.get(r)
         # Hospitals r would rather have: its whole list when unassigned,
         # otherwise the strict prefix before its current hospital.
-        better = prefs if current is None else prefs[: index.rrank[r][current]]
+        better = prefs if current is None else prefs[: prefs.index(current)]
         if len(better) > 1:
             better = sorted(better, key=hospital_pos.__getitem__)
         # Moving r to h breaks only the caps of full regions that contain h

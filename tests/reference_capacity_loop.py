@@ -52,7 +52,8 @@ def squeeze_by_reruns(
             squeeze = members[0]
         elif len(common[overloaded.hospitals]) == 1:
             (r,) = common[overloaded.hospitals]
-            h_plus, h_minus = sorted(members, key=index.rrank[r].__getitem__)
+            rank = {h: i for i, h in enumerate(instance.resident_prefs[r])}
+            h_plus, h_minus = sorted(members, key=rank.__getitem__)
             squeeze = h_minus if capacities[h_minus] > 0 else h_plus
         else:
             squeeze = next((h for h in members if capacities[h] > 0), members[0])

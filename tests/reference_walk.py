@@ -23,7 +23,8 @@ class _ChronologicalSearch:
         index = instance.index
         self.instance = instance
         self.residents = instance.residents
-        self.rrank, self.hrank = index.rrank, index.hrank
+        self.rrank = {r: {h: i for i, h in enumerate(p)} for r, p in instance.resident_prefs.items()}
+        self.hrank = index.hrank
         self.region_caps, self.regions_of = index.region_caps, index.regions_of
         self.resident_pos = index.resident_pos
         self.options = [

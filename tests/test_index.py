@@ -31,8 +31,8 @@ def test_index_tables():
     index = example_g2().index
     assert index.resident_pos == {"r1": 0, "r2": 1}
     assert index.hospital_pos == {"h1": 0, "h2": 1}
-    assert index.rrank["r2"] == {"h2": 0, "h1": 1}
     assert index.hrank["h1"] == {"r2": 0, "r1": 1}
+    assert not hasattr(index, "rrank")
     assert index.regions_of == {"h1": (0,), "h2": (0,)}
     assert index.region_caps == (1,)
     assert index.violations == []

@@ -215,6 +215,7 @@ MATCHING_ERRORS = [
     ({"pairs": [["r", "h", "x"]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
     ({"pairs": [["r", 1]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
     ({"pairs": [1, ["r", None]]}, "pairs[0] must be a [resident, hospital] pair of strings"),
+    ({"pairs": [["r", "h"]], "extra": 1}, "unknown top-level keys: ['extra']"),
 ]
 
 

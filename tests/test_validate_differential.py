@@ -4,13 +4,16 @@
 :func:`hrrc.model.validate` reports what the one pass that compiles the
 instance's index collected.  On valid random instances broken in one to three
 ways, both must give the same messages in the same order, and
-``load_instance`` must raise the same error text with either validator.
+``load_instance`` must raise the same error text with either validator.  Some
+broken instances keep the list totals that let validation skip the hospital
+side's entry-by-entry check; those must still report every fault.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -42,7 +45,7 @@ def mutate(rng: random.Random, inst: Instance) -> Instance:
     hprefs = {h: list(p) for h, p in inst.hospital_prefs.items()}
     regions = [(reg.hospitals, reg.cap) for reg in inst.regions]
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(14)
+        kind = rng.randrange(15)
         side, other = rng.choice([(rprefs, hospitals), (hprefs, residents)])
         if kind == 0:
             residents.append(rng.choice(residents))
@@ -80,6 +83,13 @@ def mutate(rng: random.Random, inst: Instance) -> Instance:
         elif kind == 12:
             members = {rng.choice(hospitals), rng.choice(["x1", "x2"])}
             regions.append((frozenset(members), rng.randint(0, 2)))
+        elif kind == 13:
+            # Swap one entry between two hospitals' lists: every total stays.
+            listing = [h for h, p in hprefs.items() if p]
+            if len(listing) >= 2:
+                a, b = (hprefs[h] for h in rng.sample(listing, 2))
+                i, j = rng.randrange(len(a)), rng.randrange(len(b))
+                a[i], b[j] = b[j], a[i]
         elif regions and rng.random() < 0.5:
             members, cap = rng.choice(regions)
             regions.append((members, rng.choice([cap, 7] + BAD_COUNTS)))
@@ -96,9 +106,22 @@ def mutate(rng: random.Random, inst: Instance) -> Instance:
     )
 
 
+def balanced(inst: Instance) -> bool:
+    """Whether the declared residents' lists hold as many entries in all as
+    the declared hospitals' lists: the count that lets validation skip the
+    hospital side's entry-by-entry check when nothing else is wrong."""
+    return sum(len(inst.resident_prefs.get(r, ())) for r in inst.residents) == sum(
+        len(inst.hospital_prefs.get(h, ())) for h in inst.hospitals
+    )
+
+
+# The messages only the hospital side's entry-by-entry check reports.
+_HOSPITAL_LIST_FAULT = re.compile(r"hospital '\w+' (lists|has duplicate)")
+
+
 def test_validate_matches_reference_on_mutated_instances():
     rng = random.Random(41)
-    broken = 0
+    broken = balanced_broken = hospital_side = 0
     for _ in range(3000):
         inst = random_instance(rng, max_residents=5, max_hospitals=5)
         assert model.validate(inst) == ref.validate(inst) == []
@@ -106,11 +129,54 @@ def test_validate_matches_reference_on_mutated_instances():
         expected = ref.validate(mutant)
         assert model.validate(mutant) == expected
         broken += bool(expected)
+        if expected and balanced(mutant):
+            balanced_broken += 1
+            hospital_side += any(map(_HOSPITAL_LIST_FAULT.match, expected))
         if expected:
             with pytest.raises(InstanceError) as info:
                 mutant.index
             assert str(info.value) == "invalid instance: " + "; ".join(expected)
     assert broken > 2500
+    # Mutants that pass the count yet break a hospital's list: the count alone
+    # must not let validation skip the hospital side.
+    assert balanced_broken >= 200
+    assert hospital_side >= 100
+
+
+@pytest.mark.parametrize(
+    ("instance", "expected"),
+    [
+        (
+            make_instance([("r1", ["h1", "h1"])], [("h1", 1, ["r1"]), ("h2", 1, ["r1"])]),
+            [
+                "resident 'r1' has duplicate entries in preference list",
+                "hospital 'h2' lists 'r1' but 'r1' does not list 'h2'",
+            ],
+        ),
+        (
+            make_instance([("r1", ["h1"])] * 2, [("h1", 1, ["r1"]), ("h2", 1, ["r1"])]),
+            [
+                "duplicate resident ids in declaration",
+                "hospital 'h2' lists 'r1' but 'r1' does not list 'h2'",
+            ],
+        ),
+        (
+            make_instance([("r1", ["x"]), ("x", ["h2"])], [("x", 1, ["r1"]), ("h2", 1, ["r1"])]),
+            [
+                "ids used on both sides: ['x']",
+                "resident 'x' lists 'h2' but 'h2' does not list 'x'",
+                "hospital 'h2' lists 'r1' but 'r1' does not list 'h2'",
+            ],
+        ),
+    ],
+    ids=["duplicate-entry", "repeated-declared-id", "id-on-both-sides"],
+)
+def test_validate_checks_hospital_lists_when_totals_balance(instance, expected):
+    """Each instance balances the count yet is invalid, so the hospital side's
+    lists must still be checked entry by entry."""
+    assert balanced(instance)
+    assert ref.validate(instance) == expected
+    assert model.validate(instance) == expected
 
 
 def test_validate_matches_reference_on_non_string_ids():
