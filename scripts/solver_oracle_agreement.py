@@ -17,7 +17,6 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -40,13 +39,6 @@ from hrrc import (  # noqa: E402
 
 # The least share of disjoint (2,2,2) draws that must come out none-exists.
 MIN_NONE_SHARE = 0.05
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    samples: int
-    seed: int
-    max_side: int
 
 
 def fail(message: str) -> NoReturn:
@@ -77,13 +69,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-side", type=int, default=8)
     args = parser.parse_args()
-    cfg = SweepConfig(args.samples, args.seed, args.max_side)
 
     for name, solver, params, reference in CLASSES:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         t0 = time.perf_counter()
-        for _ in range(cfg.samples):
-            inst = random_instance(rng, cfg.max_side, cfg.max_side, **params)
+        for _ in range(args.samples):
+            inst = random_instance(rng, args.max_side, args.max_side, **params)
             matching = solver(inst)
             if not is_strongly_stable(inst, matching):
                 fail(f"{solver.__name__} returned an unstable matching on {inst}")
@@ -91,13 +82,13 @@ def main() -> None:
                 fail(f"{solver.__name__} differs from {reference.__name__} on {inst}")
         dt = time.perf_counter() - t0
         same = "" if reference is None else f", equal to {reference.__name__}"
-        print(f"{name:22s} {cfg.samples} instances, all strongly stable{same}  ({dt:.2f}s)")
+        print(f"{name:22s} {args.samples} instances, all strongly stable{same}  ({dt:.2f}s)")
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     t0 = time.perf_counter()
     verdicts = {"found": 0, "none-exists": 0}
-    side = min(cfg.max_side, 6)
-    for k in range(cfg.samples):
+    side = min(args.max_side, 6)
+    for k in range(args.samples):
         # As in acceptance criterion 3, every third draw is a tight 2x2 one.
         if k % 3 == 2:
             inst = random_instance(rng, **TIGHT_2X2)
@@ -114,10 +105,10 @@ def main() -> None:
         verdicts[out.status] += 1
     dt = time.perf_counter() - t0
     print(
-        f"disjoint (2,2,2)       {cfg.samples} instances match the oracle: "
+        f"disjoint (2,2,2)       {args.samples} instances match the oracle: "
         f"{verdicts['found']} found, {verdicts['none-exists']} none-exists  ({dt:.2f}s)"
     )
-    if verdicts["found"] == 0 or verdicts["none-exists"] < MIN_NONE_SHARE * cfg.samples:
+    if verdicts["found"] == 0 or verdicts["none-exists"] < MIN_NONE_SHARE * args.samples:
         raise SystemExit(
             f"the disjoint (2,2,2) sweep needs found and at least {MIN_NONE_SHARE:.0%} "
             "none-exists draws; draw more samples"

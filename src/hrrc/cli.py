@@ -182,7 +182,7 @@ def _cmd_brute(args: argparse.Namespace) -> int:
 
 def _reduced_instance(formula: reductions.CnfFormula, args: argparse.Namespace) -> tuple[
     reductions.CnfFormula,
-    dict[int, reductions.VariableOrigin] | None,
+    dict[int, int] | None,
     Instance,
     reductions.OccurrenceTable | None,
 ]:

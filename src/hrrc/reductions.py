@@ -119,6 +119,33 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
+def _ppn_scan(
+    formula: CnfFormula,
+) -> tuple[list[str], dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
+    """``check_ppn``'s report, and each variable's positive and negative
+    (clause, position) slots in clause order, both indices 1-based."""
+    out: list[str] = []
+    positive: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, formula.num_vars + 1)}
+    negative: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, formula.num_vars + 1)}
+    for j, clause in enumerate(formula.clauses, start=1):
+        if len(clause) not in (2, 3):
+            out.append(f"clause {j} has {len(clause)} literals (needs 2 or 3)")
+        if len(set(clause)) != len(clause):
+            out.append(f"clause {j} repeats a literal")
+        for ell, lit in enumerate(clause, start=1):
+            if lit > 0:
+                positive[lit].append((j, ell))
+            else:
+                negative[-lit].append((j, ell))
+    for i in positive:
+        if len(positive[i]) != 2 or len(negative[i]) != 1:
+            out.append(
+                f"variable {i} occurs {len(positive[i])} times positively and "
+                f"{len(negative[i])} negatively (needs 2 and 1)"
+            )
+    return out, positive, negative
+
+
 def check_ppn(formula: CnfFormula) -> list[str]:
     """Violations of the 2-positive/1-negative shape (empty report = compliant).
 
@@ -126,26 +153,7 @@ def check_ppn(formula: CnfFormula) -> list[str]:
     with the same sign; a complementary pair inside one clause is allowed.
     Every variable must occur exactly twice positively and once negatively.
     """
-    out: list[str] = []
-    positive = {i: 0 for i in range(1, formula.num_vars + 1)}
-    negative = {i: 0 for i in range(1, formula.num_vars + 1)}
-    for j, clause in enumerate(formula.clauses, start=1):
-        if len(clause) not in (2, 3):
-            out.append(f"clause {j} has {len(clause)} literals (needs 2 or 3)")
-        if len(set(clause)) != len(clause):
-            out.append(f"clause {j} repeats a literal")
-        for lit in clause:
-            if lit > 0:
-                positive[lit] += 1
-            else:
-                negative[-lit] += 1
-    for i in range(1, formula.num_vars + 1):
-        if positive[i] != 2 or negative[i] != 1:
-            out.append(
-                f"variable {i} occurs {positive[i]} times positively and "
-                f"{negative[i]} negatively (needs 2 and 1)"
-            )
-    return out
+    return _ppn_scan(formula)[0]
 
 
 def check_one_in_three_positive(formula: CnfFormula) -> list[str]:
@@ -240,103 +248,71 @@ def sat_brute(formula: CnfFormula, mode: str = MODE_ORDINARY) -> SatAssignment |
 # Normalization to the PPN shape
 
 
-@dataclass(frozen=True)
-class VariableOrigin:
-    """Where a normalized variable came from.
-
-    ``source`` is the original variable (None for padding variables invented
-    for 1-literal clauses), ``occurrence`` the 1-based occurrence it replaced,
-    and ``flipped`` whether its polarity was inverted to restore the
-    2-positive/1-negative counts.
-    """
-
-    source: int | None
-    occurrence: int
-    flipped: bool
-
-
-def to_ppn(formula: CnfFormula) -> tuple[CnfFormula, dict[int, VariableOrigin]]:
+def to_ppn(formula: CnfFormula) -> tuple[CnfFormula, dict[int, int]]:
     """Rewrite a CNF with clauses of at most three literals into PPN shape.
 
     Every variable is split into one fresh variable per occurrence, chained
     by cyclic two-literal implication clauses that force all copies to agree;
     fresh variables standing for negative occurrences are then renamed with
     inverted polarity.  1-literal clauses are first padded into two 2-literal
-    clauses over a fresh throwaway variable.  The result is equisatisfiable
-    with the input.
+    clauses over a fresh throwaway variable, numbered above the source's.  The
+    result is equisatisfiable with the input.
+
+    Also returns, for each source variable v that occurs in a clause, the
+    literal of its first copy c that has v's value: ``+c``, or ``-c`` when
+    copy c was flipped.
     """
     for j, clause in enumerate(formula.clauses, start=1):
         if len(clause) > 3:
             raise ValueError(f"clause {j} has {len(clause)} literals; at most 3 supported")
 
     # Pad unit clauses: (l) becomes (l or w) and (l or not w).
-    padded: list[list[int]] = []
-    pad_sources: dict[int, VariableOrigin] = {}
+    clauses: list[list[int]] = []
     next_var = formula.num_vars + 1
     for clause in formula.clauses:
         if len(clause) == 1:
-            w = next_var
+            clauses += [[clause[0], next_var], [clause[0], -next_var]]
             next_var += 1
-            pad_sources[w] = VariableOrigin(None, 0, False)
-            padded.append([clause[0], w])
-            padded.append([clause[0], -w])
         else:
-            padded.append(list(clause))
+            clauses.append(list(clause))
 
     # One fresh variable per occurrence, in (variable, occurrence) order.
     occurrences: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, next_var)}
-    for cj, clause in enumerate(padded):
+    for cj, clause in enumerate(clauses):
         for pos, lit in enumerate(clause):
             occurrences[abs(lit)].append((cj, pos))
 
     fresh = 0
-    origins: dict[int, VariableOrigin] = {}
-    host_clauses = [list(c) for c in padded]
-    cycle_clauses: list[tuple[int, ...]] = []
-    for v in range(1, next_var):
-        slots = occurrences[v]
+    first: dict[int, int] = {}
+    cycle_clauses: list[tuple[int, int]] = []
+    for v, slots in occurrences.items():
         if not slots:
             continue
-        ids = []
-        flips = []
-        for t, (cj, pos) in enumerate(slots, start=1):
+        # Copies standing for negative occurrences are renamed with inverted
+        # polarity, which turns their host literal positive and leaves every
+        # copy with two positive and one negative occurrence; ``copies`` holds
+        # each copy's literal with the value of v.
+        copies = []
+        for cj, pos in slots:
             fresh += 1
-            sign = 1 if host_clauses[cj][pos] > 0 else -1
-            # Copies standing for negative occurrences are renamed with
-            # inverted polarity, which turns their host literal positive and
-            # leaves every copy with two positive and one negative occurrence.
-            origin_source = pad_sources[v].source if v in pad_sources else v
-            origins[fresh] = VariableOrigin(origin_source, t, sign < 0)
-            host_clauses[cj][pos] = fresh
-            ids.append(fresh)
-            flips.append(sign)
-        k = len(ids)
-        for t in range(k):
-            # Cyclic chain forcing every copy to mirror one shared variable:
-            # pre-renaming this is (f_t or not f_{t+1}); the renaming factors
-            # carry through so the constraint's meaning is unchanged.
-            u, w = t, (t + 1) % k
-            cycle_clauses.append((flips[u] * ids[u], -flips[w] * ids[w]))
+            copies.append(fresh if clauses[cj][pos] > 0 else -fresh)
+            clauses[cj][pos] = fresh
+        if v <= formula.num_vars:
+            first[v] = copies[0]
+        # Cyclic chain forcing every copy to mirror v: (copy_t or not copy_{t+1}).
+        cycle_clauses += zip(copies, [-lit for lit in copies[1:] + copies[:1]])
 
-    clauses = tuple(tuple(c) for c in host_clauses) + tuple(cycle_clauses)
-    result = CnfFormula(fresh, clauses)
-    return result, origins
+    return CnfFormula(fresh, tuple(map(tuple, clauses)) + tuple(cycle_clauses)), first
 
 
-def from_ppn(
-    assignment: SatAssignment, origins: dict[int, VariableOrigin], num_vars: int
-) -> SatAssignment:
+def from_ppn(assignment: SatAssignment, first: dict[int, int], num_vars: int) -> SatAssignment:
     """Map an assignment of ``to_ppn``'s formula back to the ``num_vars`` original variables.
 
-    Each variable takes its first copy's value, inverted when that copy was
-    flipped; padding variables are dropped, and a variable that occurs in no
-    clause reads false.
+    Each variable v reads ``first[v]``, the literal of its first copy;
+    padding variables are dropped, and a variable that occurs in no clause
+    reads false.
     """
-    out = dict.fromkeys(range(1, num_vars + 1), False)
-    for fresh, origin in origins.items():
-        if origin.source is not None and origin.occurrence == 1:
-            out[origin.source] = assignment[fresh] != origin.flipped
-    return out
+    return {v: v in first and literal_value(first[v], assignment) for v in range(1, num_vars + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +348,15 @@ class OccurrenceTable:
 
 
 def occurrence_table(formula: CnfFormula) -> OccurrenceTable:
-    violations = check_ppn(formula)
+    violations, positive, negative = _ppn_scan(formula)
     if violations:
         raise ValueError("formula is not in PPN shape: " + "; ".join(violations))
-    pos: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, formula.num_vars + 1)}
-    neg: dict[int, tuple[int, int]] = {}
     slots: dict[tuple[int, int], tuple[int, int]] = {}
-    for j, clause in enumerate(formula.clauses, start=1):
-        for ell, lit in enumerate(clause, start=1):
-            i = abs(lit)
-            if lit > 0:
-                pos[i].append((j, ell))
-                slots[(j, ell)] = (i, len(pos[i]))
-            else:
-                neg[i] = (j, ell)
-                slots[(j, ell)] = (i, 3)
+    for i, (first, second) in positive.items():
+        slots[first], slots[second], slots[negative[i][0]] = (i, 1), (i, 2), (i, 3)
     return OccurrenceTable(
-        positive={i: (pos[i][0], pos[i][1]) for i in pos},
-        negative=neg,
+        positive={i: (first, second) for i, (first, second) in positive.items()},
+        negative={i: slot for i, (slot,) in negative.items()},
         slots=slots,
     )
 
@@ -411,8 +378,8 @@ class _Builder:
     def __init__(self) -> None:
         self.residents: list[tuple[str, list[str]]] = []
         self.hospitals: list[tuple[str, int, list[str]]] = []
-        self.regions: list[tuple[frozenset[str], int]] = []
-        self._region_sets: set[frozenset[str]] = set()
+        # Each region's cap, by its hospital set; the first cap emitted for a set holds.
+        self.regions: dict[frozenset[str], int] = {}
 
     def resident(self, rid: str, prefs: list[str]) -> None:
         self.residents.append((rid, prefs))
@@ -421,14 +388,10 @@ class _Builder:
         self.hospitals.append((hid, capacity, prefs))
 
     def region(self, members: tuple[str, ...], cap: int) -> None:
-        key = frozenset(members)
-        if key in self._region_sets:
-            return
-        self._region_sets.add(key)
-        self.regions.append((key, cap))
+        self.regions.setdefault(frozenset(members), cap)
 
     def build(self) -> Instance:
-        return make_instance(self.residents, self.hospitals, self.regions)
+        return make_instance(self.residents, self.hospitals, self.regions.items())
 
 
 def _x1(i: int) -> str:
@@ -737,7 +700,7 @@ def encode_assignment(
     closed = {h for i in false for h in row.closes(i)}
     candidates = ((r, h) for r, prefs in b.residents for h in prefs)
     capacities = {h: 0 if h in closed else capacity for h, capacity, _prefs in b.hospitals}
-    fill = greedy(candidates, capacities, b.regions)
+    fill = greedy(candidates, capacities, b.regions.items())
     tails = (pair for j in range(1, len(formula.clauses) + 1) for pair in row.tail_pairs(j))
     return Assignment(fill.pairs.union(tails))
 

@@ -24,6 +24,7 @@ from hrrc.reductions import (
     check_ppn,
     decode_matching,
     encode_assignment,
+    from_ppn,
     occurrence_table,
     parse_dimacs,
     reduce_oneinthree,
@@ -83,6 +84,22 @@ def test_check_ppn_violations():
     assert any("variable 1" in v for v in check_ppn(three_pos))
     dup = CnfFormula(2, ((1, 1), (2, -1), (2, -2)))
     assert any("repeats" in v for v in check_ppn(dup))
+
+
+def test_check_ppn_report_is_exact():
+    f = CnfFormula(3, ((1,), (1, 1, -2), (2, -1, 3, -3)))
+    report = [
+        "clause 1 has 1 literals (needs 2 or 3)",
+        "clause 2 repeats a literal",
+        "clause 3 has 4 literals (needs 2 or 3)",
+        "variable 1 occurs 3 times positively and 1 negatively (needs 2 and 1)",
+        "variable 2 occurs 1 times positively and 1 negatively (needs 2 and 1)",
+        "variable 3 occurs 1 times positively and 1 negatively (needs 2 and 1)",
+    ]
+    assert check_ppn(f) == report
+    with pytest.raises(ValueError) as err:
+        occurrence_table(f)
+    assert str(err.value) == "formula is not in PPN shape: " + "; ".join(report)
 
 
 def test_check_ppn_permits_complementary_pair_in_clause():
@@ -195,7 +212,7 @@ def test_to_ppn_three_occurrences_adds_three_copies_and_clauses():
     assert out.num_vars == 6
     assert len(out.clauses) == len(f.clauses) + 6
     assert check_ppn(out) == []
-    assert {origins[v].source for v in origins} == {1, 2}
+    assert origins == {1: 1, 2: 4}
 
 
 def test_to_ppn_output_passes_check_even_when_already_ppn():
@@ -207,7 +224,7 @@ def test_to_ppn_handles_unit_clauses():
     out, origins = to_ppn(CnfFormula(1, ((1,),)))
     assert check_ppn(out) == []
     assert sat_brute(out) is not None
-    assert any(o.source is None for o in origins.values())
+    assert origins == {1: 1} and out.num_vars == 4
     unsat, _ = to_ppn(CnfFormula(1, ((1,), (-1,))))
     assert check_ppn(unsat) == []
     assert sat_brute(unsat) is None
@@ -220,6 +237,26 @@ def test_to_ppn_preserves_satisfiability_on_random_formulas():
         out, _ = to_ppn(f)
         assert check_ppn(out) == []
         assert (sat_brute(f) is None) == (sat_brute(out) is None)
+
+
+def test_from_ppn_reads_back_exactly_the_source_models():
+    # Every model of the image reads back as a model of the source, and every
+    # source model is read back, once its variables that occur in no clause
+    # are set false.
+    rng = random.Random(31)
+    checked = satisfiable = 0
+    for _ in range(600):
+        f = random_cnf(rng, max_vars=5, max_clauses=6, clause_sizes=(1, 2, 3))
+        image, first = to_ppn(f)
+        if image.num_vars > 12:
+            continue
+        unused = set(range(1, f.num_vars + 1)) - {abs(lit) for c in f.clauses for lit in c}
+        expected = {tuple(a.items()) for a in models(f) if not any(a[v] for v in unused)}
+        readbacks = {tuple(from_ppn(a, first, f.num_vars).items()) for a in models(image)}
+        assert readbacks == expected, f
+        checked += 1
+        satisfiable += bool(expected)
+    assert (checked, satisfiable) == (367, 325)
 
 
 def test_to_ppn_rejects_wide_clauses():
