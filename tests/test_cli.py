@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
+import io
 import json
+import random
 import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -15,7 +20,8 @@ from hrrc.model import example_g2, load_matching, save_instance, save_matching
 from hrrc.model import Assignment
 from hrrc.stability import is_strongly_stable
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture()
@@ -440,7 +446,7 @@ def test_main_builds_one_parser_per_process(capsys, g2_file, parser_builds):
         run(capsys, *argv)
     assert len(parser_builds) == 1
     fresh = cli.build_parser()
-    assert fresh is not cli.build_parser() and fresh is not cli._parser()
+    assert fresh is not cli.build_parser() and fresh is not cli._parser()[0]
 
 
 def test_reused_parser_leaks_no_option(capsys, tmp_path, g2_file, parser_builds):
@@ -481,3 +487,136 @@ def test_reused_parser_survives_a_usage_error(capsys, g2_file, parser_builds):
         main(["solve", g2_file, "--algorithm", "nope"])
     assert capsys.readouterr().err == first_err
     assert len(parser_builds) == 1
+
+
+def test_unreadable_paths_name_the_real_fault(capsys, tmp_path, g2_file):
+    code, out, err = run(capsys, "check", g2_file, "")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read : [Errno 2] No such file or directory: ''\n"
+    code, out, err = run(capsys, "classify", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def _argparse_vars(parser, argv):
+    """``vars(parser.parse_args(argv))``, or None where argparse exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _assert_plain(argv):
+    """The plain reader takes ``argv`` and agrees with argparse on it."""
+    parser, table = cli._parser()
+    args = cli._plain_args(argv, table)
+    assert args is not None, argv
+    assert vars(args) == _argparse_vars(parser, argv), argv
+
+
+# Values, positionals and stray tokens: ints argparse's ``int`` reads or
+# refuses, bad choices, and tokens only argparse reads (negative numbers,
+# "-", "--", help).
+ODD_TOKENS = [
+    "7", "0", "0x10", " 7", "1_0", "٣", "-3", "", "-", "--", "-h", "--help",
+    "nope", "auto", "ppn-223", "x y", "a=b", "solve", "--nope", "-x",
+]
+
+
+def _random_argv(rng, table):
+    """A line built from one subcommand's positionals and options, each option
+    before, between or after the positionals, then perhaps disturbed."""
+    name = rng.choice(list(table))
+    positionals, options, _, _ = table[name]
+    groups = [[f"p{k}.json"] for k in range(len(positionals))]
+    for string in rng.sample(sorted(options), rng.randint(0, len(options))):
+        action = options[string]
+        group = [string]
+        if action.nargs != 0:
+            good = action.choices or (["12", "0", " 7", "1_0"] if action.type else ["o.json"])
+            group.append(rng.choice(good if rng.random() < 0.7 else ODD_TOKENS))
+        if rng.random() < 0.1:
+            group += group  # the option repeated
+        groups.insert(rng.randint(0, len(groups)), group)
+    argv = [name] + [token for group in groups for token in group]
+    every_option = sorted({s for entry in table.values() for s in entry[1]})
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        at = rng.randint(1, len(argv))
+        edit = rng.randrange(5)
+        if edit == 0 and at < len(argv):
+            del argv[at]
+        elif edit == 1:
+            argv.insert(at, rng.choice(ODD_TOKENS))
+        elif edit == 2:
+            argv.insert(at, rng.choice(every_option))
+        elif edit == 3:
+            string = rng.choice(every_option)  # an abbreviation or an "=" form
+            argv.insert(at, rng.choice([string[:-1], string[: len(string) // 2 + 1]])
+                        if rng.random() < 0.5 else f"{string}={rng.choice(ODD_TOKENS)}")
+        else:
+            argv[0] = rng.choice(["solv", "nope", "", "-h", "--help", "--json"])
+    return argv
+
+
+def test_plain_reader_agrees_with_argparse_on_random_lines():
+    rng = random.Random(26)
+    parser, table = cli._parser()
+    accepted = refused = 0
+    kinds = set()
+    for _ in range(6000):
+        argv = _random_argv(rng, table)
+        args = cli._plain_args(argv, table)
+        expected = _argparse_vars(parser, argv)
+        if args is None:
+            refused += expected is None
+            continue
+        assert vars(args) == expected, argv
+        accepted += 1
+        kinds.add(argv[0])
+    assert kinds == set(table) and accepted > 1000 and refused > 1000
+
+
+def test_plain_reader_takes_every_benchmark_and_readme_line(tmp_path):
+    spec = importlib.util.spec_from_file_location("inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    shapes = set()
+    for workload in inputs.WORKLOADS:
+        for op in inputs.build(workload, 0, tmp_path / workload)["ops"]:
+            if "argv" in op:
+                _assert_plain(op["argv"])
+                shapes.add(tuple(t for t in op["argv"] if not t.endswith((".json", ".cnf"))))
+    assert len(shapes) >= 8
+    text = README.read_text()
+    lines = [line[len("$ hrrc "):] for line in text.splitlines() if line.startswith("$ hrrc ")]
+    # The synopsis, every option given: "a|b" reads as a, N as 3, ... as a target.
+    synopsis = text.split("## Command line", 1)[1].split("```\n", 2)[1]
+    for line in synopsis.replace("\n      ", " ").splitlines():
+        words = line.replace("[", "").replace("]", "").split()[1:]
+        lines.append(" ".join(
+            "3" if w == "N" else "ppn-223" if w == "..." else w.split("|")[0] for w in words
+        ))
+    assert len(lines) == 9
+    for line in lines:
+        _assert_plain(shlex.split(line))
+
+
+def test_main_reads_sys_argv_on_both_paths(capsys, monkeypatch, tmp_path, g2_file):
+    cnf = tmp_path / "clause.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    for argv in (
+        ["solve", g2_file],
+        ["reduce", str(cnf), "--target=one-in-three-222"],
+        ["solve", g2_file, "--algorithm", "nope"],
+    ):
+        results = []
+        for explicit in (True, False):
+            monkeypatch.setattr(sys, "argv", ["hrrc", *argv])
+            try:
+                code = main(argv if explicit else None)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1], argv
+        assert results[0][0] == (2 if "nope" in argv else 1 if argv[0] == "solve" else 0)
