@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 DA_DIFFERENTIAL = "tests/test_hr_core.py::test_da_matches_the_reference_after_every_squeeze"
 WALK_DIFFERENTIAL = "tests/test_exhaustive.py::test_backjumping_walk_equals_the_chronological_walk"
 WALK_PINS = "tests/test_exhaustive.py::test_pruned_walk_search_is_pinned"
+WALK_ORDER = "tests/test_exhaustive.py::test_walk_yields_the_canonical_order"
 READER_DIFFERENTIAL = "tests/test_cli.py::test_plain_reader_agrees_with_argparse_on_random_lines"
 
 MUTANTS = [
@@ -56,11 +57,48 @@ MUTANTS = [
         "worst = min(held_h)\n            held_h.remove(worst)\n            self._propose",
         (DA_DIFFERENTIAL,),
     ),
-    # A full hospital's assignees are left out of the culprits.
+    # A full slot's residents are left out of the culprits: those placed at a
+    # full hospital, or inside a region at its cap.
     Mutant(
         "src/hrrc/exhaustive.py",
-        "conflicts[i] |= assignees[h]\n                continue",
-        "continue",
+        "conflicts[i] |= held[s]\n                    break",
+        "break",
+        (WALK_DIFFERENTIAL, WALK_PINS),
+    ),
+    # A final pair's culprits leave out the earliest displaced resident.
+    Mutant(
+        "src/hrrc/exhaustive.py",
+        "r_bit | displaced & -displaced",
+        "r_bit",
+        (WALK_DIFFERENTIAL, WALK_PINS),
+    ),
+    # A move that fits leaves the hospital's listers out of its culprits.
+    Mutant(
+        "src/hrrc/exhaustive.py",
+        "culprits = r_bit | listers[s]",
+        "culprits = r_bit",
+        (WALK_DIFFERENTIAL, WALK_PINS),
+    ),
+    # A move that fits leaves the listers of the regions it enters out of its
+    # culprits.
+    Mutant(
+        "src/hrrc/exhaustive.py",
+        "culprits |= listers[k]",
+        "pass",
+        (WALK_DIFFERENTIAL, WALK_PINS),
+    ),
+    # A yielded leaf leaves conflicts untouched: no predecessor is blamed.
+    Mutant(
+        "src/hrrc/exhaustive.py",
+        "conflicts[j] |= 1 << (j - 1)",
+        "pass",
+        (WALK_DIFFERENTIAL, WALK_ORDER),
+    ),
+    # ``checks`` is written back only when the walk ends, not before a yield.
+    Mutant(
+        "src/hrrc/exhaustive.py",
+        "self.checks = checks\n                yield",
+        "yield",
         (WALK_DIFFERENTIAL, WALK_PINS),
     ),
     # Options in preference order instead of hospital declaration order.

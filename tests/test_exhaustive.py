@@ -189,6 +189,16 @@ def test_backjumping_walk_equals_the_chronological_walk():
     # ones the rules name (say, every worse resident at h, not the earliest)
     # keep the leaves and move this count.
     assert checks == 34_126
+    # The count read after every leaf the walk yields and once more at
+    # exhaustion, so it must be up to date at each yield, not only the first.
+    leaves = running = 0
+    for inst in draws:
+        search = _Search(inst)
+        for _ in search.leaves(True):
+            leaves += 1
+            running += search.checks
+        running += search.checks
+    assert (leaves, running) == (1_634, 120_113)
 
 
 # Recorded from the walk that looked every id up in dicts, with its strong
