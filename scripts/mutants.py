@@ -41,6 +41,10 @@ WALK_DIFFERENTIAL = "tests/test_exhaustive.py::test_backjumping_walk_equals_the_
 WALK_PINS = "tests/test_exhaustive.py::test_pruned_walk_search_is_pinned"
 WALK_ORDER = "tests/test_exhaustive.py::test_walk_yields_the_canonical_order"
 READER_DIFFERENTIAL = "tests/test_cli.py::test_plain_reader_agrees_with_argparse_on_random_lines"
+LOOP_DIFFERENTIAL = (
+    "tests/test_poly_solvers.py::"
+    "test_solve_222_disjoint_equals_blocks_and_rerun_reference_on_criterion_3_draws"
+)
 
 MUTANTS = [
     # Deferred acceptance displaces the best held resident instead of the worst.
@@ -53,9 +57,31 @@ MUTANTS = [
     # A squeeze rejects the best held resident.
     Mutant(
         "src/hrrc/hr_core.py",
-        "worst = max(held_h)\n            held_h.remove(worst)\n            self._propose",
-        "worst = min(held_h)\n            held_h.remove(worst)\n            self._propose",
+        "worst = max(held_h)\n            held_h.remove(worst)\n            return self._propose",
+        "worst = min(held_h)\n            held_h.remove(worst)\n            return self._propose",
         (DA_DIFFERENTIAL,),
+    ),
+    # A squeeze reports no accepting hospital, so the capacity loop never
+    # sees the regions its displaced resident overloads.
+    Mutant(
+        "src/hrrc/hr_core.py",
+        "return self._propose(deque([self._hprefs[h][worst]]))",
+        "self._propose(deque([self._hprefs[h][worst]]))\n            return []",
+        (LOOP_DIFFERENTIAL, DA_DIFFERENTIAL),
+    ),
+    # The squeeze order puts the common resident's preferred member first.
+    Mutant(
+        "src/hrrc/poly_solvers.py",
+        "members.sort(key=instance.resident_prefs[common[0]].index, reverse=True)",
+        "members.sort(key=instance.resident_prefs[common[0]].index)",
+        (LOOP_DIFFERENTIAL,),
+    ),
+    # The capacity loop ignores the hospitals a squeeze returns.
+    Mutant(
+        "src/hrrc/poly_solvers.py",
+        "stack.extend(regions_of[h])",
+        "pass",
+        (LOOP_DIFFERENTIAL,),
     ),
     # A full slot's residents are left out of the culprits: those placed at a
     # full hospital, or inside a region at its cap.

@@ -33,13 +33,13 @@ class DeferredAcceptance:
     ``next_choice[r]`` is how far down its list ``r`` has proposed.
     ``held[h]`` holds, in no order, the positions on ``h``'s preference list
     of the residents ``h`` holds, so its worst assignee is the largest one.
-    ``gained`` collects every hospital that accepted a proposal; the caller
-    clears it once read.  ``capacities``, when given, must hold one
-    non-negative int per hospital of the instance; :class:`ValueError` names
-    the first hospital that breaks this.
+    :meth:`squeeze` returns the hospitals that accepted a proposal while it
+    ran.  ``capacities``, when given, must hold one non-negative int per
+    hospital of the instance; :class:`ValueError` names the first hospital
+    that breaks this.
     """
 
-    __slots__ = ("capacities", "next_choice", "held", "gained", "_prefs", "_hprefs", "_hrank")
+    __slots__ = ("capacities", "next_choice", "held", "_prefs", "_hprefs", "_hrank")
 
     def __init__(self, instance: Instance, capacities: Mapping[str, int] | None = None):
         self._prefs = instance.resident_prefs
@@ -52,14 +52,13 @@ class DeferredAcceptance:
         self.capacities = dict(capacities)
         self.next_choice = dict.fromkeys(instance.residents, 0)
         self.held: dict[str, list[int]] = {h: [] for h in instance.hospitals}
-        self.gained: set[str] = set()
         self._propose(deque(instance.residents))
 
-    def _propose(self, free: deque[str]) -> None:
+    def _propose(self, free: deque[str]) -> list[str]:
+        """Let the ``free`` residents propose; return the accepting hospitals, in order."""
         prefs_of, hprefs, hrank = self._prefs, self._hprefs, self._hrank
-        capacities, next_choice, held, gained = (
-            self.capacities, self.next_choice, self.held, self.gained
-        )
+        capacities, next_choice, held = self.capacities, self.next_choice, self.held
+        accepted = []
         while free:
             r = free.popleft()
             prefs = prefs_of[r]
@@ -78,18 +77,23 @@ class DeferredAcceptance:
                     held_h.remove(worst)
                     free.append(hprefs[h][worst])
                 held_h.append(rank)
-                gained.add(h)
+                accepted.append(h)
                 break
             next_choice[r] = i
+        return accepted
 
-    def squeeze(self, h: str) -> None:
-        """Lower ``h``'s capacity by one and resume from the rejection it forces."""
+    def squeeze(self, h: str) -> list[str]:
+        """Lower ``h``'s capacity by one and resume from the rejection it forces.
+
+        Returns the hospitals that accepted a proposal meanwhile, in proposal order.
+        """
         self.capacities[h] -= 1
         held_h = self.held[h]
         if len(held_h) > self.capacities[h]:
             worst = max(held_h)
             held_h.remove(worst)
-            self._propose(deque([self._hprefs[h][worst]]))
+            return self._propose(deque([self._hprefs[h][worst]]))
+        return []
 
     def matching(self) -> Assignment:
         """The matching the state holds."""

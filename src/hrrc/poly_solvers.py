@@ -204,9 +204,10 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     Runs deferred acceptance ignoring regions, then, while some region is
     over its cap, lowers the capacity of one of that region's hospitals and
     resumes deferred acceptance from the rejection that forces.  The hospital
-    to squeeze is the region's sole member, or (when one resident is
-    acceptable to both members) that resident's less-preferred member while
-    it still has capacity, or the first member with capacity left.
+    to squeeze is the first member with capacity left in one fixed order per
+    region: declaration order, except that when exactly one resident is
+    acceptable to both members of a size-2 region, that resident's
+    less-preferred member comes first.
 
     The order in which overloaded regions are squeezed does not change the
     capacities or the matching reached:
@@ -244,60 +245,55 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     return _capacity_loop(instance, instance.capacities)
 
 
+def _squeeze_order(instance: Instance, hospitals: Iterable[str]) -> list[str]:
+    """A region's members in the order a squeeze tries them.
+
+    Declaration order, except when exactly one resident lists both members of
+    a size-2 region: then that resident's less-preferred member comes first.
+    """
+    members = sorted(hospitals, key=instance.index.hospital_pos.__getitem__)
+    if len(members) == 2:
+        common = _pair_common(instance, members)
+        if len(common) == 1:
+            members.sort(key=instance.resident_prefs[common[0]].index, reverse=True)
+    return members
+
+
 def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignment:
     """The loop of :func:`solve_2x2_free`, started from ``capacities``.
 
     ``instance`` and ``capacities`` must meet ``solve_2x2_free``'s conditions,
     except that a 2x2 block may remain if its hospitals are closed.
     """
-    index = instance.index
-    hospital_index = index.hospital_pos
-    regions_of, caps = index.regions_of, index.region_caps
-    # The common residents of each size-2 region squeezed so far.
-    common: dict[int, list[str]] = {}
+    regions, regions_of = instance.regions, instance.index.regions_of
     da = DeferredAcceptance(instance, capacities)
-    capacities = da.capacities
-    load = dict.fromkeys(instance.hospitals, 0)
-    region_load = [0] * len(caps)
-    # Regions that became overloaded, in any order (see solve_2x2_free); a
-    # region a squeeze brought back under its cap is dropped when it surfaces.
-    overloaded: list[int] = []
+    capacities, held = da.capacities, da.held
+    # Each squeezed region's _squeeze_order, computed on its first squeeze.
+    orders: dict[int, list[str]] = {}
 
-    def refresh(h: str) -> None:
-        delta = len(da.held[h]) - load[h]
-        load[h] += delta
-        for k in regions_of[h]:
-            region_load[k] += delta
-            if delta > 0 and region_load[k] > caps[k]:
-                overloaded.append(k)
+    def over(k: int) -> bool:
+        reg = regions[k]
+        return sum(len(held[h]) for h in reg.hospitals) > reg.cap
 
+    # Regions that may be over their cap, in any order (see solve_2x2_free);
+    # one that is not is dropped when it reaches the top.
+    stack = [k for k in range(len(regions)) if over(k)]
     for _ in range(sum(capacities.values()) + 1):
-        for h in da.gained:
-            refresh(h)
-        da.gained.clear()
-        while overloaded and region_load[overloaded[-1]] <= caps[overloaded[-1]]:
-            overloaded.pop()
-        if not overloaded:
+        while stack and not over(stack[-1]):
+            stack.pop()
+        if not stack:
             return da.matching()
-        k = overloaded[-1]
-        members = sorted(instance.regions[k].hospitals, key=hospital_index.__getitem__)
-        if len(members) == 2 and k not in common:
-            common[k] = _pair_common(instance, members)
-        if len(members) == 1:
-            squeeze = members[0]
-        elif len(common[k]) == 1:
-            (r,) = common[k]
-            h_plus, h_minus = sorted(members, key=instance.resident_prefs[r].index)
-            squeeze = h_minus if capacities[h_minus] > 0 else h_plus
-        else:
-            squeeze = next((h for h in members if capacities[h] > 0), members[0])
+        k = stack[-1]
+        if k not in orders:
+            orders[k] = _squeeze_order(instance, regions[k].hospitals)
         # An overloaded region holds a resident, so some member has capacity.
-        if capacities[squeeze] <= 0:
+        squeeze = next((h for h in orders[k] if capacities[h] > 0), None)
+        if squeeze is None:
             raise RuntimeError(
-                f"capacity reduction found region {members} overloaded with no capacity left"
+                f"capacity reduction found region {orders[k]} overloaded with no capacity left"
             )
-        da.squeeze(squeeze)
-        refresh(squeeze)
+        for h in da.squeeze(squeeze):
+            stack.extend(regions_of[h])
     raise RuntimeError("capacity reduction failed to terminate")
 
 

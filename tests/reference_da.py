@@ -5,8 +5,8 @@ hospitals held their assignees' ranks: ``held[h]`` lists the residents ``h``
 holds, and the worst of them is found by looking each one's rank up.  It
 proposes in the same order as the package, so a differential test can
 compare not only the matching but also how far each resident proposed, the
-capacities and the hospitals that accepted.  It assumes a valid instance and
-valid capacities.
+capacities and the hospitals that accepted, which :meth:`squeeze` returns.  It
+assumes a valid instance and valid capacities.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ class DeferredAcceptance:
     fresh run on its capacities would give.
 
     ``next_choice[r]`` is how far down its list ``r`` has proposed, ``held[h]``
-    the residents ``h`` holds.  ``gained`` collects every hospital that accepted
-    a proposal; the caller clears it once read.
+    the residents ``h`` holds.  :meth:`squeeze` returns the hospitals that
+    accepted a proposal while it ran, in proposal order.
     """
 
-    __slots__ = ("capacities", "next_choice", "held", "gained", "_prefs", "_hrank")
+    __slots__ = ("capacities", "next_choice", "held", "_prefs", "_hrank")
 
     def __init__(self, instance: Instance, capacities: Mapping[str, int] | None = None):
         self._prefs = instance.resident_prefs
@@ -41,12 +41,12 @@ class DeferredAcceptance:
         self.capacities = dict(instance.capacities if capacities is None else capacities)
         self.next_choice = dict.fromkeys(instance.residents, 0)
         self.held: dict[str, list[str]] = {h: [] for h in instance.hospitals}
-        self.gained: set[str] = set()
         self._propose(deque(instance.residents))
 
-    def _propose(self, free: deque[str]) -> None:
+    def _propose(self, free: deque[str]) -> list[str]:
         prefs_of, hrank, capacities = self._prefs, self._hrank, self.capacities
-        next_choice, held, gained = self.next_choice, self.held, self.gained
+        next_choice, held = self.next_choice, self.held
+        accepted = []
         while free:
             r = free.popleft()
             prefs = prefs_of[r]
@@ -64,17 +64,22 @@ class DeferredAcceptance:
                     held_h.remove(worst)
                     free.append(worst)
                 held_h.append(r)
-                gained.add(h)
+                accepted.append(h)
                 break
+        return accepted
 
-    def squeeze(self, h: str) -> None:
-        """Lower ``h``'s capacity by one and resume from the rejection it forces."""
+    def squeeze(self, h: str) -> list[str]:
+        """Lower ``h``'s capacity by one and resume from the rejection it forces.
+
+        Returns the hospitals that accepted a proposal meanwhile, in proposal order.
+        """
         self.capacities[h] -= 1
         held_h = self.held[h]
         if len(held_h) > self.capacities[h]:
             worst = max(held_h, key=self._hrank[h].__getitem__)
             held_h.remove(worst)
-            self._propose(deque([worst]))
+            return self._propose(deque([worst]))
+        return []
 
     def matching(self) -> Assignment:
         """The matching the state holds."""

@@ -685,6 +685,7 @@ def test_squeeze_without_capacity_raises(monkeypatch):
     # overloaded after its only hospital has been squeezed to zero.
     def squeeze_without_rejecting(self, h):
         self.capacities[h] -= 1
+        return []
 
     monkeypatch.setattr(poly_solvers.DeferredAcceptance, "squeeze", squeeze_without_rejecting)
     with pytest.raises(RuntimeError, match="no capacity left"):
