@@ -76,6 +76,14 @@ MUTANTS = [
         "members.sort(key=instance.resident_prefs[common[0]].index)",
         (LOOP_DIFFERENTIAL,),
     ),
+    # The capacity loop ignores the common residents the block scan found, so
+    # every squeeze tries the members in declaration order.
+    Mutant(
+        "src/hrrc/poly_solvers.py",
+        "commons.get(k, [])",
+        "[]",
+        (LOOP_DIFFERENTIAL,),
+    ),
     # The capacity loop ignores the hospitals a squeeze returns.
     Mutant(
         "src/hrrc/poly_solvers.py",
@@ -133,6 +141,20 @@ MUTANTS = [
         "            row.sort()\n",
         "",
         (WALK_PINS, WALK_DIFFERENTIAL),
+    ),
+    # A ppn-223 variable gadget's first resident lists its hospitals swapped.
+    Mutant(
+        "src/hrrc/reductions.py",
+        "b.resident(e1, (b1, b3))",
+        "b.resident(e1, (b3, b1))",
+        ("tests/test_reductions.py::test_ppn_instance_bytes_are_pinned",),
+    ),
+    # The id lists of a written instance are indented one space short.
+    Mutant(
+        "src/hrrc/model.py",
+        '_ID_SEPARATOR = ",\\n        "',
+        '_ID_SEPARATOR = ",\\n       "',
+        ("tests/test_model.py::test_writers_match_json_dumps_on_reductions",),
     ),
     # The hospitals' lists are never checked entry by entry.
     Mutant(

@@ -251,22 +251,25 @@ def example_g2() -> Instance:
 # renders as ``int.__repr__`` does.
 
 _escape = json.encoder.encode_basestring_ascii
-# Line breaks with the indentation of each depth a writer's arrays reach, and
-# the item separators built from them.
-_BREAK = tuple("\n" + "  " * depth for depth in range(5))
-_SEPARATOR = tuple("," + line for line in _BREAK)
+# Each array sits at one depth in every document: the top-level arrays one
+# level deep, the id lists inside their entries three levels deep.  The item
+# separators hold the line break and the indentation of that depth.
+_ITEM_SEPARATOR = ",\n    "
+_ID_SEPARATOR = ",\n        "
 
 
-def _array(items: list[str], depth: int) -> str:
-    """Rendered items as a JSON array ``depth`` levels deep, one item per line."""
+def _array(items: list[str]) -> str:
+    """Rendered items as a top-level JSON array, one item per line."""
     if not items:
         return "[]"
-    return "[" + _BREAK[depth + 1] + _SEPARATOR[depth + 1].join(items) + _BREAK[depth] + "]"
+    return "[\n    " + _ITEM_SEPARATOR.join(items) + "\n  ]"
 
 
-def _ids(ids: Sequence[str], depth: int) -> str:
-    """An array of agent ids ``depth`` levels deep; a non-str id raises TypeError."""
-    return _array(list(map(_escape, ids)), depth)
+def _ids(ids: Sequence[str]) -> str:
+    """An entry's array of agent ids, one id per line."""
+    if not ids:
+        return "[]"
+    return "[\n        " + _ID_SEPARATOR.join(map(_escape, ids)) + "\n      ]"
 
 
 def instance_to_doc(instance: Instance) -> dict:
@@ -302,28 +305,23 @@ def save_instance(instance: Instance) -> str:
     hospital_prefs = instance.hospital_prefs
     capacities = instance.capacities
     residents = [
-        '{\n      "id": ' + _escape(r)
-        + ',\n      "prefs": ' + _ids(resident_prefs[r], 3)
-        + "\n    }"
+        f'{{\n      "id": {_escape(r)},\n      "prefs": {_ids(resident_prefs[r])}\n    }}'
         for r in instance.residents
     ]
     hospitals = [
-        '{\n      "id": ' + _escape(h)
-        + ',\n      "capacity": ' + int.__repr__(capacities[h])
-        + ',\n      "prefs": ' + _ids(hospital_prefs[h], 3)
-        + "\n    }"
+        f'{{\n      "id": {_escape(h)},\n      "capacity": {int.__repr__(capacities[h])},'
+        f'\n      "prefs": {_ids(hospital_prefs[h])}\n    }}'
         for h in instance.hospitals
     ]
     regions = [
-        '{\n      "hospitals": ' + _ids(sorted(reg.hospitals), 3)
-        + ',\n      "cap": ' + int.__repr__(reg.cap)
-        + "\n    }"
+        f'{{\n      "hospitals": {_ids(sorted(reg.hospitals))},'
+        f'\n      "cap": {int.__repr__(reg.cap)}\n    }}'
         for reg in instance.regions
     ]
     return (
-        '{\n  "residents": ' + _array(residents, 1)
-        + ',\n  "hospitals": ' + _array(hospitals, 1)
-        + ',\n  "regions": ' + _array(regions, 1)
+        '{\n  "residents": ' + _array(residents)
+        + ',\n  "hospitals": ' + _array(hospitals)
+        + ',\n  "regions": ' + _array(regions)
         + "\n}\n"
     )
 
@@ -433,7 +431,7 @@ def save_matching(assignment: Assignment) -> str:
         "[\n      " + _escape(r) + ",\n      " + _escape(h) + "\n    ]"
         for r, h in assignment.sorted_pairs()
     ]
-    return '{\n  "pairs": ' + _array(pairs, 1) + "\n}\n"
+    return '{\n  "pairs": ' + _array(pairs) + "\n}\n"
 
 
 def load_matching(text: str) -> Assignment:

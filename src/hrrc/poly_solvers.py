@@ -175,20 +175,27 @@ def find_2x2_subinstances(instance: Instance) -> list[SubInstance2x2]:
     """
     if not classify(instance).disjoint:
         raise ValueError("2x2 block extraction requires disjoint regions")
+    return _pair_scan(instance)[0]
+
+
+def _pair_scan(instance: Instance) -> tuple[list[SubInstance2x2], dict[int, list[str]]]:
+    """The blocks of :func:`find_2x2_subinstances`, and the common residents
+    of each size-2 region by region index: one :func:`_pair_common` per region."""
     index = instance.index
     hospital_index = index.hospital_pos
     resident_index = index.resident_pos
-    out = []
-    for reg in instance.regions:
+    blocks = []
+    commons = {}
+    for k, reg in enumerate(instance.regions):
         if len(reg.hospitals) != 2:
             continue
-        common = _pair_common(instance, reg.hospitals)
+        common = commons[k] = _pair_common(instance, reg.hospitals)
         if len(common) != 2:
             continue
         r1, r2 = sorted(common, key=resident_index.__getitem__)
         h1, h2 = sorted(reg.hospitals, key=hospital_index.__getitem__)
-        out.append(SubInstance2x2((r1, r2), (h1, h2), reg))
-    return out
+        blocks.append(SubInstance2x2((r1, r2), (h1, h2), reg))
+    return blocks, commons
 
 
 def _pair_common(instance: Instance, hospitals: Iterable[str]) -> list[str]:
@@ -236,34 +243,37 @@ def solve_2x2_free(instance: Instance) -> Assignment:
     _require_class(instance, "alg5")
     if any(instance.capacities[h] > 2 for h in instance.hospitals):
         raise ValueError("solver requires hospital capacities of at most 2")
-    blocks = find_2x2_subinstances(instance)
+    blocks, commons = _pair_scan(instance)
     if blocks:
         raise ValueError(
             f"region {sorted(blocks[0].region.hospitals)} has two common residents; "
             "extract its 2x2 block first"
         )
-    return _capacity_loop(instance, instance.capacities)
+    return _capacity_loop(instance, instance.capacities, commons)
 
 
-def _squeeze_order(instance: Instance, hospitals: Iterable[str]) -> list[str]:
-    """A region's members in the order a squeeze tries them.
+def _squeeze_order(instance: Instance, hospitals: Iterable[str], common: list[str]) -> list[str]:
+    """A region's members in the order a squeeze tries them, given the
+    residents that list both members of a size-2 region (none for another).
 
     Declaration order, except when exactly one resident lists both members of
     a size-2 region: then that resident's less-preferred member comes first.
     """
     members = sorted(hospitals, key=instance.index.hospital_pos.__getitem__)
-    if len(members) == 2:
-        common = _pair_common(instance, members)
-        if len(common) == 1:
-            members.sort(key=instance.resident_prefs[common[0]].index, reverse=True)
+    if len(common) == 1:
+        members.sort(key=instance.resident_prefs[common[0]].index, reverse=True)
     return members
 
 
-def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignment:
+def _capacity_loop(
+    instance: Instance, capacities: Mapping[str, int], commons: Mapping[int, list[str]]
+) -> Assignment:
     """The loop of :func:`solve_2x2_free`, started from ``capacities``.
 
     ``instance`` and ``capacities`` must meet ``solve_2x2_free``'s conditions,
     except that a 2x2 block may remain if its hospitals are closed.
+    ``commons`` holds each size-2 region's common residents, by region index,
+    as :func:`_pair_scan` finds them.
     """
     regions, regions_of = instance.regions, instance.index.regions_of
     da = DeferredAcceptance(instance, capacities)
@@ -285,7 +295,7 @@ def _capacity_loop(instance: Instance, capacities: Mapping[str, int]) -> Assignm
             return da.matching()
         k = stack[-1]
         if k not in orders:
-            orders[k] = _squeeze_order(instance, regions[k].hospitals)
+            orders[k] = _squeeze_order(instance, regions[k].hospitals, commons.get(k, []))
         # An overloaded region holds a resident, so some member has capacity.
         squeeze = next((h for h in orders[k] if capacities[h] > 0), None)
         if squeeze is None:
@@ -315,7 +325,7 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     rest.
     """
     _require_class(instance, "alg5")
-    subs = find_2x2_subinstances(instance)
+    subs, commons = _pair_scan(instance)
     block_leaf = first_leaf(instance, tuple(r for sub in subs for r in sub.residents))
     if block_leaf is None:
         return SolveOutcome.none_exists()
@@ -323,7 +333,7 @@ def solve_222_disjoint(instance: Instance) -> SolveOutcome:
     for sub in subs:
         for h in sub.hospitals:
             capacities[h] = 0
-    core = _capacity_loop(instance, capacities)
+    core = _capacity_loop(instance, capacities, commons)
     matching = Assignment(block_leaf.pairs | core.pairs)
     return SolveOutcome.found(certified(instance, matching, "solve_222_disjoint"))
 

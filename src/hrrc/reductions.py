@@ -17,10 +17,13 @@ instance documents can be read against the source formula; the occurrence
 table ties clause positions to variable occurrence slots and is what the
 cross-gadget wiring and the decoders navigate by.
 
-Each target is one row of a table of gadget emitters.  ``encode_assignment``
-fills a witness first fit from the gadgets the builder emits, with the hospitals
-a false variable closes shut, so a slot hospital's (``x'_i_k``) room follows
-from its variable gadget rather than from a rule of its own.
+Each target is one row of a table of gadget emitters.  The builder fills the
+instance's own fields (the id lists, the preference tuples, the capacities and
+the regions) as the gadgets emit them, so the instance is made from them with
+no second pass.  ``encode_assignment`` fills a witness first fit from the
+gadgets the builder emits, with the hospitals a false variable closes shut, so
+a slot hospital's (``x'_i_k``) room follows from its variable gadget rather
+than from a rule of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import combinations
 from typing import Callable
 
 from .hr_core import greedy
-from .model import Assignment, Instance, make_instance
+from .model import Assignment, Instance, Region
 
 
 class DimacsError(ValueError):
@@ -375,23 +378,44 @@ class ReductionVariant(Enum):
 
 
 class _Builder:
+    """An :class:`Instance`'s own fields, filled as the gadgets emit them.
+
+    Each resident and hospital is declared by one call, which appends its id
+    and stores its preference tuple (and a hospital's capacity), so
+    :meth:`build` hands the fields to :class:`Instance` as they stand.  Each
+    region's cap is keyed by its hospital set; the first cap emitted for a set
+    holds.
+    """
+
     def __init__(self) -> None:
-        self.residents: list[tuple[str, list[str]]] = []
-        self.hospitals: list[tuple[str, int, list[str]]] = []
-        # Each region's cap, by its hospital set; the first cap emitted for a set holds.
+        self.residents: list[str] = []
+        self.hospitals: list[str] = []
+        self.capacities: dict[str, int] = {}
+        self.resident_prefs: dict[str, tuple[str, ...]] = {}
+        self.hospital_prefs: dict[str, tuple[str, ...]] = {}
         self.regions: dict[frozenset[str], int] = {}
 
-    def resident(self, rid: str, prefs: list[str]) -> None:
-        self.residents.append((rid, prefs))
+    def resident(self, rid: str, prefs: tuple[str, ...]) -> None:
+        self.residents.append(rid)
+        self.resident_prefs[rid] = prefs
 
-    def hospital(self, hid: str, capacity: int, prefs: list[str]) -> None:
-        self.hospitals.append((hid, capacity, prefs))
+    def hospital(self, hid: str, capacity: int, prefs: tuple[str, ...]) -> None:
+        self.hospitals.append(hid)
+        self.capacities[hid] = capacity
+        self.hospital_prefs[hid] = prefs
 
     def region(self, members: tuple[str, ...], cap: int) -> None:
         self.regions.setdefault(frozenset(members), cap)
 
     def build(self) -> Instance:
-        return make_instance(self.residents, self.hospitals, self.regions.items())
+        return Instance(
+            residents=tuple(self.residents),
+            hospitals=tuple(self.hospitals),
+            capacities=self.capacities,
+            resident_prefs=self.resident_prefs,
+            hospital_prefs=self.hospital_prefs,
+            regions=tuple(Region(members, cap) for members, cap in self.regions.items()),
+        )
 
 
 def _x1(i: int) -> str:
@@ -461,63 +485,85 @@ def _check_oneinthree(formula: CnfFormula) -> None:
 
 
 def _variable_oneinthree(b: _Builder, i: int, _table: None) -> None:
-    b.resident(_y(i), [_x1(i)])
-    b.hospital(_x1(i), 1, [_y(i)])
+    y, x = _y(i), _x1(i)
+    b.resident(y, (x,))
+    b.hospital(x, 1, (y,))
 
 
-def _block(b: _Builder, j: int, *g2_first: str) -> None:
-    """Clause j's 2x2 block, unstable on its own; ``g2_first`` head g'_j_2's list."""
-    b.resident(_g(j, 1), [_g(j, 2), _g(j, 4)])
-    b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-    b.hospital(_g(j, 2), 1, [*g2_first, _g(j, 3), _g(j, 1)])
-    b.hospital(_g(j, 4), 1, [_g(j, 1), _g(j, 3)])
+def _block(b: _Builder, j: int, g2_head: tuple[str, ...] = ()) -> tuple[str, str]:
+    """Clause j's 2x2 block, unstable on its own, and its hospitals g'_j_2 and
+    g'_j_4; ``g2_head`` heads g'_j_2's list."""
+    g1, g2, g3, g4 = _g(j, 1), _g(j, 2), _g(j, 3), _g(j, 4)
+    b.resident(g1, (g2, g4))
+    b.resident(g3, (g4, g2))
+    b.hospital(g2, 1, (*g2_head, g3, g1))
+    b.hospital(g4, 1, (g1, g3))
+    return g2, g4
 
 
 def _clause_oneinthree(b: _Builder, j: int, clause: tuple[int, ...], _table: None) -> None:
-    _block(b, j)
-    members = [_g(j, 2), _g(j, 4)] + [_x1(lit) for lit in clause]
-    for pair in combinations(members, 2):
+    g2, g4 = _block(b, j)
+    for pair in combinations((g2, g4, *map(_x1, clause)), 2):
         b.region(pair, 1)
 
 
+def _slot_residents(table: OccurrenceTable, i: int) -> tuple[str, str, str]:
+    """The clause residents at variable i's slots: its first and second
+    positive occurrence, then its negative one."""
+    (first, second), negative = table.positive[i], table.negative[i]
+    return _c(*first), _c(*second), _c(*negative)
+
+
 def _variable_223(b: _Builder, i: int, table: OccurrenceTable) -> None:
-    b.resident(_e(i, 1), [_b(i, 1), _b(i, 3)])
-    b.resident(_e(i, 2), [_b(i, 2), _b(i, 4)])
-    b.hospital(_b(i, 1), 1, [_e(i, 1)])
-    b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
-    b.hospital(_b(i, 2), 1, [_e(i, 2)])
-    b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
-    b.hospital(_b(i, 3), 1, [_e(i, 1)])
-    b.hospital(_b(i, 4), 1, [_e(i, 2)])
-    b.hospital(_x(i, 3), 1, [_c(*table.negative[i])])
-    b.region((_b(i, 1), _x(i, 1)), 1)
-    b.region((_b(i, 2), _x(i, 2)), 1)
-    b.region((_b(i, 3), _b(i, 4), _x(i, 3)), 2)
+    e1, e2 = _e(i, 1), _e(i, 2)
+    b1, b2, b3, b4 = _b(i, 1), _b(i, 2), _b(i, 3), _b(i, 4)
+    x1, x2, x3 = _x(i, 1), _x(i, 2), _x(i, 3)
+    c1, c2, c3 = _slot_residents(table, i)
+    b.resident(e1, (b1, b3))
+    b.resident(e2, (b2, b4))
+    b.hospital(b1, 1, (e1,))
+    b.hospital(x1, 1, (c1,))
+    b.hospital(b2, 1, (e2,))
+    b.hospital(x2, 1, (c2,))
+    b.hospital(b3, 1, (e1,))
+    b.hospital(b4, 1, (e2,))
+    b.hospital(x3, 1, (c3,))
+    b.region((b1, x1), 1)
+    b.region((b2, x2), 1)
+    b.region((b3, b4, x3), 2)
 
 
 def _variable_232(b: _Builder, i: int, table: OccurrenceTable) -> None:
-    b.resident(_e(i, 1), [_b(i, 1), _x(i, 3)])
-    b.resident(_e(i, 2), [_b(i, 2), _x(i, 3)])
-    b.hospital(_b(i, 1), 1, [_e(i, 1)])
-    b.hospital(_x(i, 1), 1, [_c(*table.positive[i][0])])
-    b.hospital(_b(i, 2), 1, [_e(i, 2)])
-    b.hospital(_x(i, 2), 1, [_c(*table.positive[i][1])])
-    b.hospital(_x(i, 3), 2, [_e(i, 1), _e(i, 2), _c(*table.negative[i])])
-    b.region((_b(i, 1), _x(i, 1)), 1)
-    b.region((_b(i, 2), _x(i, 2)), 1)
+    e1, e2 = _e(i, 1), _e(i, 2)
+    b1, b2 = _b(i, 1), _b(i, 2)
+    x1, x2, x3 = _x(i, 1), _x(i, 2), _x(i, 3)
+    c1, c2, c3 = _slot_residents(table, i)
+    b.resident(e1, (b1, x3))
+    b.resident(e2, (b2, x3))
+    b.hospital(b1, 1, (e1,))
+    b.hospital(x1, 1, (c1,))
+    b.hospital(b2, 1, (e2,))
+    b.hospital(x2, 1, (c2,))
+    b.hospital(x3, 2, (e1, e2, c3))
+    b.region((b1, x1), 1)
+    b.region((b2, x2), 1)
 
 
 def _variable_322(b: _Builder, i: int, table: OccurrenceTable) -> None:
-    b.resident(_e(i, 1), [_b(i, 1), _x(i, 1)])
-    b.resident(_e(i, 2), [_b(i, 1), _x(i, 2)])
-    b.resident(_e(i, 3), [_b(i, 2), _x(i, 3)])
-    b.resident(_e(i, 4), [_b(i, 2)])
-    b.hospital(_x(i, 1), 1, [_e(i, 1), _c(*table.positive[i][0])])
-    b.hospital(_x(i, 2), 1, [_e(i, 2), _c(*table.positive[i][1])])
-    b.hospital(_x(i, 3), 1, [_e(i, 3), _c(*table.negative[i])])
-    b.hospital(_b(i, 1), 2, [_e(i, 2), _e(i, 1)])
-    b.hospital(_b(i, 2), 2, [_e(i, 4), _e(i, 3)])
-    b.region((_b(i, 1), _b(i, 2)), 2)
+    e1, e2, e3, e4 = _e(i, 1), _e(i, 2), _e(i, 3), _e(i, 4)
+    b1, b2 = _b(i, 1), _b(i, 2)
+    x1, x2, x3 = _x(i, 1), _x(i, 2), _x(i, 3)
+    c1, c2, c3 = _slot_residents(table, i)
+    b.resident(e1, (b1, x1))
+    b.resident(e2, (b1, x2))
+    b.resident(e3, (b2, x3))
+    b.resident(e4, (b2,))
+    b.hospital(x1, 1, (e1, c1))
+    b.hospital(x2, 1, (e2, c2))
+    b.hospital(x3, 1, (e3, c3))
+    b.hospital(b1, 2, (e2, e1))
+    b.hospital(b2, 2, (e4, e3))
+    b.region((b1, b2), 2)
 
 
 def _slot_hospital(table: OccurrenceTable, j: int, ell: int) -> str:
@@ -528,63 +574,66 @@ def _slot_hospital(table: OccurrenceTable, j: int, ell: int) -> str:
 def _common_clause(b: _Builder, j: int, clause: tuple[int, ...], table: OccurrenceTable) -> None:
     """Clause j's gadget in the 223 and 232 reductions."""
     c1, c2, a1, y = _c(j, 1), _c(j, 2), _a(j, 1), _y(j)
-    b.resident(c1, [_slot_hospital(table, j, 1), a1])
-    b.resident(c2, [_slot_hospital(table, j, 2), a1])
-    b.hospital(a1, 1, [c1, c2])
+    b.resident(c1, (_slot_hospital(table, j, 1), a1))
+    b.resident(c2, (_slot_hospital(table, j, 2), a1))
+    b.hospital(a1, 1, (c1, c2))
     if len(clause) == 2:
         b.region((a1, y), 1)
     else:
         c3, d, a2, a3 = _c(j, 3), _d(j), _a(j, 2), _a(j, 3)
-        b.resident(d, [a2, a3])
-        b.resident(c3, [_slot_hospital(table, j, 3), a3])
-        b.hospital(a2, 1, [d])
-        b.hospital(a3, 1, [d, c3])
+        b.resident(d, (a2, a3))
+        b.resident(c3, (_slot_hospital(table, j, 3), a3))
+        b.hospital(a2, 1, (d,))
+        b.hospital(a3, 1, (d, c3))
         b.region((a1, a2), 1)
         b.region((a3, y), 1)
-    b.hospital(y, 1, [_z(j)])
+    b.hospital(y, 1, (_z(j),))
 
 
 def _clause_322(b: _Builder, j: int, clause: tuple[int, ...], table: OccurrenceTable) -> None:
     """Clause j's gadget in the 322 reduction."""
     c1, c2, u1, a1, a2, y = _c(j, 1), _c(j, 2), _u(j, 1), _a(j, 1), _a(j, 2), _y(j)
-    b.resident(c1, [_slot_hospital(table, j, 1), a1])
-    b.resident(c2, [_slot_hospital(table, j, 2), a2])
-    b.hospital(a1, 1, [c1, u1])
-    b.hospital(a2, 1, [c2, u1])
+    b.resident(c1, (_slot_hospital(table, j, 1), a1))
+    b.resident(c2, (_slot_hospital(table, j, 2), a2))
+    b.hospital(a1, 1, (c1, u1))
+    b.hospital(a2, 1, (c2, u1))
     if len(clause) == 2:
-        b.resident(u1, [a1, a2, y])
-        b.hospital(y, 1, [u1, _z(j)])
+        b.resident(u1, (a1, a2, y))
+        b.hospital(y, 1, (u1, _z(j)))
     else:
         c3, d, u2, a3, a4, w = _c(j, 3), _d(j), _u(j, 2), _a(j, 3), _a(j, 4), _w(j)
-        b.resident(u1, [a1, a2, w])
-        b.resident(d, [w, a4])
-        b.resident(c3, [_slot_hospital(table, j, 3), a3])
-        b.resident(u2, [a4, a3, y])
-        b.hospital(w, 1, [u1, d])
-        b.hospital(a4, 1, [d, u2])
-        b.hospital(a3, 1, [c3, u2])
-        b.hospital(y, 1, [u2, _z(j)])
+        b.resident(u1, (a1, a2, w))
+        b.resident(d, (w, a4))
+        b.resident(c3, (_slot_hospital(table, j, 3), a3))
+        b.resident(u2, (a4, a3, y))
+        b.hospital(w, 1, (u1, d))
+        b.hospital(a4, 1, (d, u2))
+        b.hospital(a3, 1, (c3, u2))
+        b.hospital(y, 1, (u2, _z(j)))
 
 
 def _tail_223(b: _Builder, j: int) -> None:
-    _block(b, j)
-    b.resident(_z(j), [_y(j), _t(j)])
-    b.hospital(_t(j), 1, [_z(j)])
-    b.region((_g(j, 2), _g(j, 4), _t(j)), 1)
+    g2, g4 = _block(b, j)
+    z, t = _z(j), _t(j)
+    b.resident(z, (_y(j), t))
+    b.hospital(t, 1, (z,))
+    b.region((g2, g4, t), 1)
 
 
 def _tail_232(b: _Builder, j: int) -> None:
-    _block(b, j, _z(j))
-    b.resident(_z(j), [_y(j), _g(j, 2)])
-    b.region((_g(j, 2), _g(j, 4)), 1)
+    z = _z(j)
+    g2, g4 = _block(b, j, (z,))
+    b.resident(z, (_y(j), g2))
+    b.region((g2, g4), 1)
 
 
 def _tail_322(b: _Builder, j: int) -> None:
-    b.resident(_z(j), [_y(j), _g(j, 2), _g(j, 4)])
-    b.resident(_g(j, 3), [_g(j, 4), _g(j, 2)])
-    b.hospital(_g(j, 2), 1, [_g(j, 3), _z(j)])
-    b.hospital(_g(j, 4), 1, [_z(j), _g(j, 3)])
-    b.region((_g(j, 2), _g(j, 4)), 1)
+    z, g2, g3, g4 = _z(j), _g(j, 2), _g(j, 3), _g(j, 4)
+    b.resident(z, (_y(j), g2, g4))
+    b.resident(g3, (g4, g2))
+    b.hospital(g2, 1, (g3, z))
+    b.hospital(g4, 1, (z, g3))
+    b.region((g2, g4), 1)
 
 
 @dataclass(frozen=True)
@@ -698,8 +747,8 @@ def encode_assignment(
     b = _gadgets(row, formula, table)
     false = [i for i in range(1, formula.num_vars + 1) if not assignment[i]]
     closed = {h for i in false for h in row.closes(i)}
-    candidates = ((r, h) for r, prefs in b.residents for h in prefs)
-    capacities = {h: 0 if h in closed else capacity for h, capacity, _prefs in b.hospitals}
+    candidates = ((r, h) for r, prefs in b.resident_prefs.items() for h in prefs)
+    capacities = {h: 0 if h in closed else capacity for h, capacity in b.capacities.items()}
     fill = greedy(candidates, capacities, b.regions.items())
     tails = (pair for j in range(1, len(formula.clauses) + 1) for pair in row.tail_pairs(j))
     return Assignment(fill.pairs.union(tails))

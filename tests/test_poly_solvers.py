@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -398,6 +399,29 @@ def test_capacity_loop_order_does_not_matter(loop_states):
 
             assert squeeze_by_reruns(rest, choose) == reached
     assert choices > 100, "the draws should overload several regions at once"
+
+
+def test_solve_222_disjoint_scans_each_size2_region_once(monkeypatch, loop_states):
+    """One scan finds the blocks and the common residents the squeeze orders read."""
+    import hrrc.poly_solvers as poly_solvers
+
+    scanned = []
+    pair_common = poly_solvers._pair_common
+
+    def counted(instance, hospitals):
+        scanned.append(frozenset(hospitals))
+        return pair_common(instance, hospitals)
+
+    monkeypatch.setattr(poly_solvers, "_pair_common", counted)
+    squeezes = 0
+    for inst in bench_disjoint_instances((120, 250)):
+        scanned.clear()
+        state = loop_state(inst, loop_states)
+        assert Counter(scanned) == Counter(
+            reg.hospitals for reg in inst.regions if len(reg.hospitals) == 2
+        )
+        squeezes += sum(block_free_rest(inst).capacities.values()) - sum(state.capacities.values())
+    assert squeezes > 10, "the capacity loop should squeeze size-2 regions"
 
 
 # --- full disjoint (2,2,2) solver -------------------------------------------
